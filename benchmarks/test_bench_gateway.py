@@ -51,7 +51,7 @@ ARRIVAL_PROCESS = "poisson"
 
 #: Collapse floor, not a performance target: a healthy run sustains several
 #: thousand records/s; anything below this means the gateway serialised on
-#: round trips or the flusher stalled.
+#: round trips or result delivery stalled.
 ASSERTED_RECORDS_PER_S = 400.0
 
 

@@ -104,9 +104,7 @@ def main() -> None:
                 ),
                 source=ClusterHealthSource(cluster, ping_timeout=0.25),
             )
-            # flush_interval=60: results are pulled only by explicit
-            # flush() calls, so the fault points below are deterministic.
-            server = GatewayServer(cluster, lease_ttl=30.0, flush_interval=60.0)
+            server = GatewayServer(cluster, lease_ttl=30.0)
             with server.background():
                 print(f"leased gateway on {server.host}:{server.port} "
                       f"in front of a durable 2-worker cluster")

@@ -21,7 +21,6 @@ from collections import deque
 from typing import Deque, Dict, List, Mapping, Sequence
 
 import numpy as np
-from scipy import interpolate as _interpolate
 
 from ..exceptions import ConfigurationError
 from .base import OnlineImputer
@@ -214,7 +213,9 @@ class SplineInterpolationImputer(OnlineImputer):
         values = self._values[name]
         if len(times) < 4:
             return values[-1] if values else float("nan")
-        spline = _interpolate.CubicSpline(times, values, extrapolate=True)
+        from scipy.interpolate import CubicSpline  # heavy: imported on use
+
+        spline = CubicSpline(times, values, extrapolate=True)
         return float(spline(self._tick))
 
     def reset(self) -> None:
@@ -250,9 +251,11 @@ def interpolate_gaps(values: np.ndarray, kind: str = "linear") -> np.ndarray:
         return np.zeros_like(series)
     if observed.all():
         return series
+    from scipy.interpolate import interp1d  # heavy: imported on use
+
     indices = np.arange(len(series))
     if observed.sum() == 1 or kind == "nearest":
-        fill = _interpolate.interp1d(
+        fill = interp1d(
             indices[observed],
             series[observed],
             kind="nearest",
@@ -260,7 +263,7 @@ def interpolate_gaps(values: np.ndarray, kind: str = "linear") -> np.ndarray:
             fill_value=(series[observed][0], series[observed][-1]),
         )
     else:
-        fill = _interpolate.interp1d(
+        fill = interp1d(
             indices[observed],
             series[observed],
             kind=kind,

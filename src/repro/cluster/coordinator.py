@@ -21,6 +21,13 @@ Two ingestion shapes:
   additionally coalesces whatever has queued up per loop tick, so sustained
   streams are imputed through the vectorised block path regardless of OS
   scheduling.
+* **Streamed** — on the shm transport, workers publish results as soon as
+  they apply a block, so a caller that cannot block (the gateway's event
+  loop) emits its buffered rows with :meth:`emit_pending`, sleeps on
+  :attr:`result_signal`, and takes whatever landed with
+  :meth:`poll_results`; :meth:`applied_records` says how many of a
+  session's streamed records the workers have applied (on a durable
+  cluster: journaled).  :meth:`flush` remains the barrier.
 
 Live operations ride on the session checkpoint primitive — the exact
 ``snapshot()`` / ``restore()`` round trip:
@@ -70,9 +77,12 @@ are process-local and never leave the machine.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
+import os
+import threading
 import time
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..durability.journal import DurabilityConfig
 from ..durability.recovery import RecoveryManager, RecoveryReport, SessionRecovery
@@ -80,6 +90,7 @@ from ..durability.store import discover_stores
 from ..exceptions import (
     ClusterError,
     RecoveryError,
+    RolledBackError,
     ServiceError,
     UnavailableError,
 )
@@ -87,7 +98,7 @@ from ..results import TickResult
 from ..service.session import Tick
 from .router import MovePlan, ShardRouter
 from .telemetry import aggregate_stats
-from .worker import ClusterWorker
+from .worker import ClusterWorker, coordinator_end
 
 __all__ = ["ClusterCoordinator"]
 
@@ -114,6 +125,17 @@ DEFAULT_MAX_INFLIGHT = 20_000
 _PIPELINE_WINDOW = 32
 
 
+def _serialized(method):
+    """Run a public method under the coordinator's re-entrant lock."""
+
+    @functools.wraps(method)
+    def serialized(self, *args, **kwargs):
+        with self._lock:
+            return method(self, *args, **kwargs)
+
+    return serialized
+
+
 class ClusterCoordinator:
     """Serve many imputation sessions across ``num_workers`` processes.
 
@@ -125,6 +147,11 @@ class ClusterCoordinator:
     ...     _ = cluster.push("north", {"n1": 1.0, "n2": 2.0})
     ...     cluster.push("north", {"n1": float("nan"), "n2": 3.0})[0]["n1"].value
     1.0
+
+    Every public method that touches the workers holds one re-entrant lock,
+    so a gateway thread draining results (:meth:`poll_results`) never
+    interleaves with another thread probing (:meth:`stats`,
+    :meth:`ping_worker`) or repairing (:meth:`heal`) the same fleet.
     """
 
     def __init__(
@@ -148,10 +175,20 @@ class ClusterCoordinator:
                 f"unknown cluster transport {transport!r}; expected 'shm' or 'pipe'"
             )
         self._context = multiprocessing.get_context(start_method)
+        self._lock = threading.RLock()
         self._router = ShardRouter(num_workers)
         self._durability = durability
         self._transport = transport
         self._ring_capacity = ring_capacity
+        #: The fleet's signal channel (shm only): workers write one byte to
+        #: it after each publication to their result rings.
+        self._signal_reader = self._signal_writer = None
+        if transport == "shm":
+            reader, writer = self._context.Pipe(duplex=False)
+            for end in (reader, writer):
+                os.set_blocking(end.fileno(), False)
+            self._signal_reader = coordinator_end(reader)
+            self._signal_writer = writer
         #: Per-worker adaptive micro-batch target (shm transport only).
         self._linger_target: Dict[int, int] = {}
         self._workers: List[ClusterWorker] = [
@@ -162,14 +199,25 @@ class ClusterCoordinator:
         self._max_inflight = int(max_inflight)
         #: Per-session rows accepted by push_nowait but not yet emitted.
         self._linger: Dict[str, list] = {}
-        #: Per-worker records piped out but whose results are uncollected.
+        #: Per-worker records emitted onto the data plane but not yet
+        #: reported applied by the worker.
         self._inflight: Dict[int, int] = {i: 0 for i in range(num_workers)}
         #: Lifetime high-water mark of ``_inflight`` per worker — how deep
         #: the pipelined backlog ever got (watermark telemetry for callers
         #: like the gateway that need to tune backpressure thresholds).
         self._inflight_peak: Dict[int, int] = {i: 0 for i in range(num_workers)}
-        #: Results collected early (backpressure) awaiting the next flush().
+        #: Results drained from the workers but not yet handed out.
         self._stash: Dict[str, List[TickResult]] = {}
+        #: Per-session pipelined records the workers have applied.
+        self._applied_records: Dict[str, int] = {}
+        #: Per-session tick count once everything routed to it is applied
+        #: (synchronous replies report the count, pipelined records add one
+        #: each): where a crash recovery rolls a session back to.
+        self._routed_ticks: Dict[str, int] = {}
+        #: Sessions a crash rolled back, until rewind(): records dropped.
+        self._rolled_back: Dict[str, int] = {}
+        #: Workers that received data since their last collect barrier.
+        self._uncollected: Set[int] = set()
         self._records_routed: Dict[int, int] = {i: 0 for i in range(num_workers)}
         #: Shards quarantined by a supervisor's crash-loop breaker: worker
         #: index → retry-after hint (seconds).  Pushes to a degraded shard
@@ -196,12 +244,23 @@ class ClusterCoordinator:
             durability=durability,
             transport=self._transport,
             ring_capacity=self._ring_capacity,
+            signal=self._signal_writer,
         )
 
     @property
     def transport(self) -> str:
         """The configured data-plane transport (``"shm"`` or ``"pipe"``)."""
         return self._transport
+
+    @property
+    def result_signal(self) -> Optional[int]:
+        """File descriptor that turns readable when results were published.
+
+        Register it with an event loop (``loop.add_reader``) and call
+        :meth:`poll_results` when it fires.  ``None`` on the pipe transport,
+        where results only travel with the :meth:`flush` barrier.
+        """
+        return None if self._signal_reader is None else self._signal_reader.fileno()
 
     # ------------------------------------------------------------------ #
     # Topology introspection
@@ -237,6 +296,7 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------ #
     # Session lifecycle
     # ------------------------------------------------------------------ #
+    @_serialized
     def create_session(
         self,
         session_id: str,
@@ -260,20 +320,25 @@ class ClusterCoordinator:
             "create_session", session_id, method, series_names, warmup_ticks, params
         )
         self._router.add(session_id, shard)
+        self._routed_ticks[session_id] = 0
         return shard
 
+    @_serialized
     def remove_session(self, session_id: str) -> None:
         """Remove a session from its worker and the routing table.
 
-        Results of records already streamed with :meth:`push_nowait` are
-        collected first, so they stay claimable by the next :meth:`flush`
-        instead of vanishing with the session.
+        Rows still buffered for it are emitted first, and the worker keeps
+        the results of everything it applied queued for delivery, so they
+        stay claimable (:meth:`poll_results`, :meth:`flush`) instead of
+        vanishing with the session.
         """
         self._ensure_open()
-        self._collect_into_stash()
+        self._flush_linger()
         shard = self._require_session(session_id)
         self._workers[shard].request("remove_session", session_id)
         self._router.remove(session_id)
+        for counts in (self._applied_records, self._routed_ticks, self._rolled_back):
+            counts.pop(session_id, None)
 
     #: Alias matching :meth:`ImputationService.close_session` (which returns
     #: the session object; here the state stays inside the worker).
@@ -282,6 +347,7 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------ #
     # Synchronous ingestion (ImputationService surface)
     # ------------------------------------------------------------------ #
+    @_serialized
     def push(
         self, session_id: str, tick: Tick, timestamp: Optional[float] = None
     ) -> List[TickResult]:
@@ -296,72 +362,150 @@ class ClusterCoordinator:
         self._ensure_open()
         shard = self._require_session(session_id)
         self._check_available(shard, session_id)
+        if session_id in self._rolled_back:
+            self._refuse_rolled_back(session_id)
         self._flush_linger()  # earlier pipelined records must land first
         self._records_routed[shard] += 1
-        return self._workers[shard].request(
+        results, self._routed_ticks[session_id] = self._workers[shard].request(
             "push_sync", session_id, tick, timestamp
         )
+        return results
 
+    @_serialized
     def push_block(self, session_id: str, block) -> List[TickResult]:
         """Route a whole block to its worker and wait for the imputations."""
         self._ensure_open()
         shard = self._require_session(session_id)
         self._check_available(shard, session_id)
+        if session_id in self._rolled_back:
+            self._refuse_rolled_back(session_id)
         self._flush_linger()
         if not hasattr(block, "__len__"):
             block = list(block)
         self._records_routed[shard] += len(block)
-        return self._workers[shard].request("push_block", session_id, block)
+        results, self._routed_ticks[session_id] = self._workers[shard].request(
+            "push_block", session_id, block
+        )
+        return results
 
+    @_serialized
     def prime(self, session_id: str, history: Mapping[str, Sequence[float]]) -> None:
         """Bulk-feed history into one session before streaming starts."""
         self._ensure_open()
         self._flush_linger()
         shard = self._require_session(session_id)
         self._check_available(shard, session_id)
-        self._workers[shard].request("prime", session_id, history)
+        self._routed_ticks[session_id] = self._workers[shard].request(
+            "prime", session_id, history
+        )
 
     # ------------------------------------------------------------------ #
     # Pipelined ingestion
     # ------------------------------------------------------------------ #
+    @_serialized
     def push_nowait(self, session_id: str, tick: Tick) -> None:
         """Stream one record without waiting for its results.
 
         Records are micro-batched per session (``linger_records`` per
         data-plane emit; on the shm transport the batch grows adaptively up
-        to ``linger_cap`` while the owning worker's ring has a backlog);
-        results accumulate inside the workers until :meth:`flush`.
-        Per-session ordering is preserved end to end.
+        to ``linger_cap`` while the owning worker's ring has a backlog) until
+        :meth:`emit_pending` or any RPC sends them; their results are
+        claimed with :meth:`poll_results` or :meth:`flush`.  Per-session
+        ordering is preserved end to end.
         """
         self._ensure_open()
         shard = self._require_session(session_id)
         self._check_available(shard, session_id)
+        if session_id in self._rolled_back:
+            self._refuse_rolled_back(session_id)
         rows = self._linger.setdefault(session_id, [])
         rows.append(tick)
+        self._routed_ticks[session_id] = self._routed_ticks.get(session_id, 0) + 1
         if len(rows) >= self._linger_target.get(shard, self._linger_records):
             self._emit_linger(session_id)
             if self._inflight.get(shard, 0) >= self._max_inflight:
                 self._collect_into_stash()
 
+    @_serialized
     def flush(self) -> Dict[str, List[TickResult]]:
         """Deliver all pending pipelined records and gather their results.
 
         Returns ``{session_id: [TickResult, ...]}`` covering every record
-        streamed with :meth:`push_nowait` since the previous flush, each
-        session's results in tick order.
+        streamed with :meth:`push_nowait` whose results were not already
+        handed out by :meth:`poll_results`, each session's results in tick
+        order.  Blocks until every worker that received data has applied it
+        (the barrier behind a gateway FLUSH); a deferred push failure is
+        raised here.
         """
         self._ensure_open()
         self._collect_into_stash()
         gathered, self._stash = self._stash, {}
         return gathered
 
+    @_serialized
+    def emit_pending(self) -> None:
+        """Send every row :meth:`push_nowait` buffered, without waiting."""
+        self._ensure_open()
+        self._flush_linger()
+
+    @_serialized
+    def poll_results(self) -> Dict[str, List[TickResult]]:
+        """Take the results published so far, without blocking.
+
+        Consumes pending wake-ups on :attr:`result_signal`, drains every
+        result ring and settles the applied markers it finds (so
+        :meth:`pipelined_backlog` and :meth:`applied_records` move), and
+        returns ``{session_id: [TickResult, ...]}`` in tick order.  Never
+        touches the command pipes, so it is safe while the workers are busy
+        with anything else.
+        """
+        self._ensure_open()
+        if self._signal_reader is not None:
+            try:
+                while len(os.read(self._signal_reader.fileno(), 4096)) == 4096:
+                    pass
+            except BlockingIOError:
+                pass
+        for worker in self._workers:
+            self._settle(worker, worker.drain_results(self._sink))
+        gathered, self._stash = self._stash, {}
+        return gathered
+
+    def applied_records(self, session_id: str) -> int:
+        """Pipelined records of ``session_id`` its worker has applied.
+
+        On a durable cluster, applied means journaled.  The count moves only
+        as drained applied markers confirm records, so it never counts a
+        record a crash rolled back (see :meth:`recover_worker`).
+        """
+        return self._applied_records.get(session_id, 0)
+
+    def rolled_back_records(self, session_id: str) -> int:
+        """Records a worker crash dropped from ``session_id``, until :meth:`rewind`."""
+        return self._rolled_back.get(session_id, 0)
+
+    @_serialized
+    def rewind(self, session_id: str) -> int:
+        """Accept a crash rollback; returns the records to re-send after.
+
+        The return value is :meth:`applied_records`: the session holds
+        exactly its first that many pipelined records, so a caller that
+        still has the rest (a gateway client's outbox) re-sends them in
+        order and the stream continues as if the crash never happened.
+        Pushes to the session raise :class:`~repro.exceptions.RolledBackError`
+        until this is called.
+        """
+        self._rolled_back.pop(session_id, None)
+        return self.applied_records(session_id)
+
+    @_serialized
     def pipelined_backlog(self) -> int:
-        """Records accepted by :meth:`push_nowait` whose results are pending.
+        """Records accepted by :meth:`push_nowait` and not yet applied.
 
         Counts both rows still lingering coordinator-side and records
-        already emitted onto the data plane but not yet collected.  Cheap
-        (no RPC) — suitable for polling by an ingest tier deciding whether
-        to apply backpressure.
+        already emitted onto the data plane whose applied markers have not
+        been drained yet.  Cheap (no RPC) — suitable for polling by an
+        ingest tier deciding whether to apply backpressure.
         """
         lingering = sum(len(rows) for rows in self._linger.values())
         return lingering + sum(self._inflight.values())
@@ -376,6 +520,7 @@ class ClusterCoordinator:
         """
         return sum(worker.push_ring_stalls for worker in self._workers)
 
+    @_serialized
     def push_many(
         self, records: Iterable[Tuple[str, Tick]]
     ) -> Dict[str, List[TickResult]]:
@@ -383,7 +528,9 @@ class ClusterCoordinator:
 
         The high-throughput entry point for fan-in ingestion: all records are
         in flight before any result is awaited, so workers impute while the
-        coordinator is still routing.
+        coordinator is still routing.  Workers that fill their result rings
+        meanwhile keep applying and queue the overflow, so a stream producing
+        more results than a ring holds still completes.
         """
         for session_id, tick in records:
             self.push_nowait(session_id, tick)
@@ -392,6 +539,7 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------ #
     # Checkpointing (ImputationService surface)
     # ------------------------------------------------------------------ #
+    @_serialized
     def snapshot(self, session_id: str) -> bytes:
         """Checkpoint one session into an opaque blob.
 
@@ -402,6 +550,7 @@ class ClusterCoordinator:
         shard = self._require_session(session_id)
         return self._workers[shard].request("snapshot", session_id)
 
+    @_serialized
     def restore(self, session_id: str, blob: bytes) -> int:
         """Rebuild ``session_id`` from a snapshot blob on its worker.
 
@@ -414,11 +563,14 @@ class ClusterCoordinator:
             shard = self._router.shard_of(session_id)
         else:
             shard = self._router.place(session_id)
-        self._workers[shard].request("restore", session_id, blob)
+        self._routed_ticks[session_id] = self._workers[shard].request(
+            "restore", session_id, blob
+        )
         if session_id not in self._router:
             self._router.add(session_id, shard)
         return shard
 
+    @_serialized
     def snapshot_all(self) -> Dict[str, bytes]:
         """Checkpoint every session on every worker, keyed by session id."""
         self._ensure_open()
@@ -448,6 +600,7 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------ #
     # Live operations
     # ------------------------------------------------------------------ #
+    @_serialized
     def drain(self, worker_index: int) -> MovePlan:
         """Move every session off one worker and stop placing new ones there.
 
@@ -463,6 +616,7 @@ class ClusterCoordinator:
         self._migrate(plan)
         return plan
 
+    @_serialized
     def rebalance(self, new_worker_count: int) -> MovePlan:
         """Grow or shrink the cluster to ``new_worker_count`` workers.
 
@@ -495,6 +649,7 @@ class ClusterCoordinator:
                 del self._records_routed[index]
                 self._linger_target.pop(index, None)
                 self._degraded.pop(index, None)
+                self._uncollected.discard(index)
         return plan
 
     # ------------------------------------------------------------------ #
@@ -511,21 +666,23 @@ class ClusterCoordinator:
             worker.worker_id for worker in self._workers if not worker.alive
         ]
 
+    @_serialized
     def terminate_worker(self, worker_index: int) -> None:
         """Hard-kill one worker process without draining it (crash injection).
 
         The worker dies exactly like an OOM kill would take it: no graceful
-        shutdown, in-flight results lost.  On a durable cluster every record
-        it had acknowledged remains recoverable from its on-disk shard —
-        follow up with :meth:`recover_worker` or :meth:`heal`.
+        shutdown, unconfirmed work lost.  On a durable cluster every record
+        it had confirmed remains recoverable from its on-disk shard — follow
+        up with :meth:`recover_worker` or :meth:`heal`.
         """
         self._ensure_open()
         self._check_worker_index(worker_index)
-        self._workers[worker_index].kill()
+        self._workers[worker_index].kill(salvage=self._salvage)
 
     # ------------------------------------------------------------------ #
     # Health probing and shard quarantine (the supervisor's surface)
     # ------------------------------------------------------------------ #
+    @_serialized
     def ping_worker(self, worker_index: int, timeout: float = 1.0) -> Dict[str, int]:
         """Liveness + progress probe of one worker.
 
@@ -543,6 +700,7 @@ class ClusterCoordinator:
         self._check_worker_index(worker_index)
         return self._workers[worker_index].ping(timeout=timeout)
 
+    @_serialized
     def wedge_worker(self, worker_index: int) -> None:
         """Fault injection: hang one worker's serving loop.
 
@@ -555,6 +713,7 @@ class ClusterCoordinator:
         self._check_worker_index(worker_index)
         self._workers[worker_index].wedge()
 
+    @_serialized
     def mark_degraded(self, worker_index: int, *, retry_after: float = 30.0) -> None:
         """Quarantine one shard: reject its pushes instead of serving them.
 
@@ -574,6 +733,7 @@ class ClusterCoordinator:
             raise ClusterError(f"retry_after must be >= 0, got {retry_after}")
         self._degraded[worker_index] = float(retry_after)
 
+    @_serialized
     def clear_degraded(self, worker_index: int) -> None:
         """Lift a shard's quarantine (idempotent); pushes flow again."""
         self._ensure_open()
@@ -599,6 +759,7 @@ class ClusterCoordinator:
                 retry_after=retry_after,
             )
 
+    @_serialized
     def recover_worker(self, worker_index: int, *, standby=None) -> RecoveryReport:
         """Respawn one dead worker and restore its shard from disk.
 
@@ -621,11 +782,18 @@ class ClusterCoordinator:
         the standby has not replicated yet fall back to the cold path.
         Either way the restored state is bit-identical.
 
-        Pipelined records that were in flight to the dead worker are
-        reported as ``lost_inflight_records``: their *results* were never
-        collected and cannot be, but any record the worker journaled before
-        dying is still replayed from the WAL, so the count is an upper
-        bound on true state loss.  Raises
+        Pipelined records in flight to the dead worker that its applied
+        markers never confirmed are **rolled back**: each such session is
+        rebuilt to its last confirmed tick (even where the worker journaled
+        more, whose results died with it), rows queued behind them are
+        dropped, and the session refuses pushes with
+        :class:`~repro.exceptions.RolledBackError` until :meth:`rewind` —
+        the caller re-sends from :meth:`applied_records` on, so nothing is
+        applied twice or lost for a caller that keeps its unacknowledged
+        records (the gateway's resilient clients do).  The rolled-back
+        in-flight records are reported as ``lost_inflight_records``.  Only
+        a checkpoint written inside that window pins the records it covers
+        (they stay applied, their results lost).  Raises
         :class:`~repro.exceptions.ClusterError` when the worker is still
         alive (use :meth:`terminate_worker` first) or the cluster has no
         durability, and :class:`~repro.exceptions.RecoveryError` when a
@@ -643,6 +811,7 @@ class ClusterCoordinator:
         # the respawn would strand the shard empty, discard the in-flight
         # accounting, and make a retry impossible ("worker is still alive").
         sessions = self._router.sessions_on(worker_index)
+        placed = set(sessions)
         manager = RecoveryManager(self._durability.for_worker(worker_index))
         on_disk = set(manager.store.session_ids())
         missing = [s for s in sessions if s not in on_disk]
@@ -655,13 +824,19 @@ class ClusterCoordinator:
         # counts as dead (its pipe is useless) while its *process* may still
         # be running — and still journaling into this shard's directory.
         # kill() is a no-op for an already-exited process.
-        self._workers[worker_index].kill()
+        self._workers[worker_index].kill(salvage=self._salvage)
         # Final catch-up sync AFTER the fence: nothing can append to this
         # shard's journals any more, so the standby's replicas converge on
         # exactly the acknowledged pre-crash state.
         catchup = standby.sync() if standby is not None else None
-        lost = self._inflight.get(worker_index, 0)
+        # What the dead worker confirmed was salvaged from its result ring
+        # by kill() and stands; the rest of its emit log never was.
+        unconfirmed: Dict[str, int] = {}
+        for session_id, records in self._workers[worker_index].settle_all():
+            if session_id in placed:
+                unconfirmed[session_id] = unconfirmed.get(session_id, 0) + records
         self._inflight[worker_index] = 0
+        self._uncollected.discard(worker_index)
         self._workers[worker_index] = self._spawn_worker(worker_index)
         # Hold back pipelined rows queued for any unsendable shard: this
         # worker's sessions (not restored yet) and every *other* dead
@@ -676,13 +851,38 @@ class ClusterCoordinator:
             for session_id in unsendable
             if session_id in self._linger
         }
+        # Confirmed tick of each session with unconfirmed records.
+        until = {
+            session_id: self._routed_ticks.get(session_id, 0)
+            - records - len(held.get(session_id, ()))
+            for session_id, records in unconfirmed.items()
+        }
         try:
             if standby is None:
-                report = manager.recover_into(self, session_ids=sessions)
+                report = manager.recover_into(self, session_ids=sessions, until=until)
             else:
                 report = self._handoff_from_standby(
-                    standby, catchup, sessions, manager
+                    standby, catchup, sessions, manager, until
                 )
+            lost = 0
+            for session_id, tick in until.items():
+                # Records a checkpoint pinned past the confirmed tick stay.
+                kept = min(max(self._routed_ticks[session_id] - tick, 0),
+                           unconfirmed[session_id])
+                self._applied_records[session_id] = (
+                    self._applied_records.get(session_id, 0) + kept
+                )
+                dropped = unconfirmed[session_id] - kept
+                if dropped:
+                    lost += dropped
+                    # Rows queued behind them would overtake their re-send.
+                    dropped += len(held.pop(session_id, ()))
+                    self._rolled_back[session_id] = (
+                        self._rolled_back.get(session_id, 0) + dropped
+                    )
+            for session_id, rows in held.items():
+                if session_id in placed:  # restored without them: recount
+                    self._routed_ticks[session_id] += len(rows)
         finally:
             for session_id, rows in held.items():
                 self._linger[session_id] = rows
@@ -694,7 +894,12 @@ class ClusterCoordinator:
         return report
 
     def _handoff_from_standby(
-        self, standby, catchup, sessions: Sequence[str], manager: RecoveryManager
+        self,
+        standby,
+        catchup,
+        sessions: Sequence[str],
+        manager: RecoveryManager,
+        until: Mapping[str, int],
     ) -> RecoveryReport:
         """Restore a shard from a warm standby's replicas (plus cold gaps).
 
@@ -703,11 +908,12 @@ class ClusterCoordinator:
         only the final catch-up replay (``wal_records``) and the handoff
         wall time (``replay_seconds``) — the checkpoint-interval tail was
         replayed off the critical path during earlier syncs.  Sessions the
-        standby never saw (no checkpoint had landed at its last sync) fall
-        back to ``manager``'s cold recovery.
+        standby never saw (no checkpoint had landed at its last sync), and
+        sessions rolled back to a tick (``until``; the replica is ahead),
+        fall back to ``manager``'s cold recovery.
         """
         report = RecoveryReport()
-        cold = [s for s in sessions if s not in standby]
+        cold = [s for s in sessions if s not in standby or s in until]
         for session_id in sessions:
             if session_id in cold:
                 continue
@@ -730,9 +936,10 @@ class ClusterCoordinator:
                 )
             )
         if cold:
-            report.merge(manager.recover_into(self, session_ids=cold))
+            report.merge(manager.recover_into(self, session_ids=cold, until=until))
         return report
 
+    @_serialized
     def heal(self, *, standbys=None) -> Dict[int, RecoveryReport]:
         """Respawn and recover every dead worker; returns reports by index.
 
@@ -757,6 +964,7 @@ class ClusterCoordinator:
             reports[index] = self.recover_worker(index, standby=standby)
         return reports
 
+    @_serialized
     def recover_from_disk(self) -> RecoveryReport:
         """Rebuild sessions persisted by a previous cluster (full-fleet recovery).
 
@@ -817,6 +1025,7 @@ class ClusterCoordinator:
         self._recovery_records_replayed += report.records_replayed
         self._lost_inflight_records += report.lost_inflight_records
 
+    @_serialized
     def stats(self) -> Dict[str, object]:
         """Cluster telemetry: per-worker counters plus aggregate totals.
 
@@ -886,6 +1095,7 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
+    @_serialized
     def shutdown(self) -> None:
         """Stop every worker process (idempotent).
 
@@ -898,6 +1108,9 @@ class ClusterCoordinator:
         self._closed = True
         for worker in self._workers:
             worker.stop()
+        for end in (self._signal_reader, self._signal_writer):
+            if end is not None:
+                end.close()
 
     def __enter__(self) -> "ClusterCoordinator":
         return self
@@ -954,6 +1167,7 @@ class ClusterCoordinator:
             else:
                 self._linger_target.pop(shard, None)
         worker.push_rows(session_id, rows)
+        self._uncollected.add(shard)
         self._records_routed[shard] += len(rows)
         pending = self._inflight.get(shard, 0) + len(rows)
         self._inflight[shard] = pending
@@ -965,15 +1179,40 @@ class ClusterCoordinator:
         for session_id in list(self._linger):
             self._emit_linger(session_id)
 
-    def _collect_into_stash(self) -> None:
-        """Gather buffered results from every worker with records in flight.
+    def _refuse_rolled_back(self, session_id: str) -> None:
+        applied = self.applied_records(session_id)
+        raise RolledBackError(
+            f"session {session_id!r} was rolled back by a worker crash "
+            f"({self._rolled_back[session_id]} records dropped); rewind() it "
+            f"and re-send from pipelined record {applied}",
+            applied=applied,
+        )
 
-        On the shm transport each worker's ``collect`` reply announces how
-        many result frames it is about to publish (plus any results that had
-        to stay inline on the pipe); the coordinator drains every busy
-        worker's result ring while replies are in flight, so a worker
-        blocked on a full ring is always unblocked by the very loop that
-        waits for it.
+    def _salvage(self, worker: ClusterWorker) -> None:
+        """Claim what a dead worker published and confirmed before dying."""
+        self._settle(worker, worker.drain_results(self._sink))
+
+    def _sink(self, session_id: str, results: List[TickResult]) -> None:
+        self._stash.setdefault(session_id, []).extend(results)
+
+    def _settle(self, worker: ClusterWorker, emits: List[Tuple[str, int]]) -> None:
+        """Account emits a worker has applied (or, dead, never will)."""
+        for session_id, records in emits:
+            self._inflight[worker.worker_id] -= records
+            if session_id in self._router:
+                self._applied_records[session_id] = (
+                    self._applied_records.get(session_id, 0) + records
+                )
+
+    def _collect_into_stash(self) -> None:
+        """Barrier: workers that received data apply it and hand over results.
+
+        Each ``collect`` reply names the applied position the worker reached
+        (plus any results that had to travel inline on the pipe); on the shm
+        transport the coordinator then drains the result ring until the
+        worker's applied marker reaches that position.  The worker never
+        blocks on a full ring, and replies are drained while they are in
+        flight, so neither side can deadlock.
         """
         self._flush_linger()
         # Degraded shards are quarantined: their in-flight results (if the
@@ -982,40 +1221,35 @@ class ClusterCoordinator:
         busy = [
             worker
             for worker in self._workers
-            if self._inflight.get(worker.worker_id)
+            if worker.worker_id in self._uncollected
             and worker.worker_id not in self._degraded
         ]
         if not busy:
             return
 
-        def sink(session_id: str, results: List[TickResult]) -> None:
-            self._stash.setdefault(session_id, []).extend(results)
-
         def drain_all() -> None:
             for other in busy:
-                other.drain_results(sink)
+                self._settle(other, other.drain_results(self._sink))
 
         for worker in busy:
             worker.send_request("collect")
         errors: List[Exception] = []
         for worker in busy:
             try:
-                reply = worker.recv_reply(drain=drain_all)
+                position, carried = worker.recv_reply(drain=drain_all)
                 if worker.uses_shm:
-                    frames, collected = reply
-                    worker.consume_results(frames, sink)
+                    settled = worker.wait_applied(position, self._sink)
                 else:
-                    collected = reply
+                    settled = worker.settle_all()
             except Exception as error:  # deferred push failure; keep draining
-                # The worker kept its buffered results (and possibly further
-                # deferred errors); leave it marked busy so the next flush
-                # retries the collect instead of stranding them worker-side.
-                self._inflight[worker.worker_id] = 1
+                # The worker may hold further deferred errors; leave it
+                # marked so the next flush collects it again.
                 errors.append(error)
                 continue
-            self._inflight[worker.worker_id] = 0
-            for session_id, results in collected.items():
-                sink(session_id, results)
+            self._settle(worker, settled)
+            self._uncollected.discard(worker.worker_id)
+            for session_id, results in carried.items():
+                self._sink(session_id, results)
         if errors:
             raise errors[0]
 

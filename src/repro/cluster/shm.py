@@ -30,9 +30,11 @@ counter, the reader owns ``head``; both are monotonically increasing byte
 counts stored 8-byte-aligned in the segment header.  A frame's payload is
 fully written *before* the tail is advanced, and the reader only advances
 ``head`` after it has finished decoding — the classic SPSC publication
-protocol.  CPython executes the buffer stores in program order and x86/ARM64
-make the aligned 8-byte counter store visible atomically, which is the
-memory-model footing this (CPython-only, same-machine) transport relies on.
+protocol.  CPython executes the buffer stores in program order, the counters
+are read and written as whole native words through a ``memoryview`` cast to
+``"Q"`` (one aligned 8-byte access each, never byte by byte), and x86/ARM64
+make such an access atomic, which is the memory-model footing this
+(CPython-only, same-machine) transport relies on.
 
 A full ring makes the writer *wait*, never drop: :meth:`SharedRingBuffer.
 write` spins with a tiny sleep, counts the stall for telemetry, and checks a
@@ -56,6 +58,7 @@ __all__ = [
     "SharedRingBuffer",
     "FRAME_PUSH",
     "FRAME_RESULTS",
+    "FRAME_APPLIED",
     "encode_push_frames",
     "decode_push_frame",
     "encode_result_frames",
@@ -65,7 +68,7 @@ __all__ = [
 #: Default ring capacity (bytes of frame data) per direction per worker.
 DEFAULT_RING_CAPACITY = 1 << 20
 
-#: Ring header layout: three little-endian u64 at fixed offsets.
+#: Ring header layout: three native-endian u64 words at fixed offsets.
 _OFF_HEAD = 0      # bytes consumed by the reader (monotonic)
 _OFF_TAIL = 8      # bytes published by the writer (monotonic)
 _OFF_CAPACITY = 16  # data-region size, so attach() needs no side channel
@@ -80,6 +83,8 @@ _ALIGN = 8
 #: Frame kinds (the codec's, not the ring's — the ring just carries them).
 FRAME_PUSH = 1
 FRAME_RESULTS = 2
+#: Result-ring marker: every data item below its u64 position is applied.
+FRAME_APPLIED = 3
 
 #: Writer poll interval while the ring is full / reader waits for a frame.
 _SPIN_SLEEP = 0.0002
@@ -108,6 +113,9 @@ class SharedRingBuffer:
     def __init__(self, shm, capacity: int, owner: bool) -> None:
         self._shm = shm
         self._buf = shm.buf
+        #: The header as native u64 words: each counter access is one
+        #: aligned 8-byte load or store (see :meth:`_load`).
+        self._words = shm.buf[:_HEADER_SIZE].cast("Q")
         self._capacity = capacity
         self._owner = owner
         self._pending_head: Optional[int] = None
@@ -130,8 +138,11 @@ class SharedRingBuffer:
         shm = shared_memory.SharedMemory(
             create=True, size=_HEADER_SIZE + capacity
         )
-        struct.pack_into("<QQQ", shm.buf, 0, 0, 0, capacity)
-        return cls(shm, capacity, owner=True)
+        ring = cls(shm, capacity, owner=True)
+        ring._store(_OFF_HEAD, 0)
+        ring._store(_OFF_TAIL, 0)
+        ring._store(_OFF_CAPACITY, capacity)
+        return ring
 
     @classmethod
     def attach(cls, name: str) -> "SharedRingBuffer":
@@ -144,7 +155,7 @@ class SharedRingBuffer:
         from multiprocessing import shared_memory
 
         shm = shared_memory.SharedMemory(name=name)
-        capacity = struct.unpack_from("<Q", shm.buf, _OFF_CAPACITY)[0]
+        capacity = struct.unpack_from("=Q", shm.buf, _OFF_CAPACITY)[0]
         return cls(shm, int(capacity), owner=False)
 
     @property
@@ -179,6 +190,7 @@ class SharedRingBuffer:
         if self._closed:
             return
         self._closed = True
+        self._words.release()
         self._buf = None
         try:
             self._shm.close()
@@ -194,10 +206,13 @@ class SharedRingBuffer:
     # Counters
     # ------------------------------------------------------------------ #
     def _load(self, offset: int) -> int:
-        return struct.unpack_from("<Q", self._buf, offset)[0]
+        # One 8-byte load through the word view.  ``struct``'s standard-size
+        # '<Q' assembles the value byte by byte, so a reader racing the
+        # peer's store could see a torn counter.
+        return self._words[offset >> 3]
 
     def _store(self, offset: int, value: int) -> None:
-        struct.pack_into("<Q", self._buf, offset, value)
+        self._words[offset >> 3] = value
 
     @property
     def is_empty(self) -> bool:

@@ -10,7 +10,13 @@ A :class:`ClusterWorker` is the parent-side handle of a child process running
   bitmask)`` laid out in place — no pickle).  The worker *drains the ring*
   instead of ``conn.recv()`` for push traffic.
 * **result ring** (worker → coordinator): imputed
-  :class:`~repro.results.TickResult` lists encoded as flat numpy columns.
+  :class:`~repro.results.TickResult` lists encoded as flat numpy columns,
+  each loop tick's results followed by an *applied marker* — the data-plane
+  position below which every item has been applied (on a durable cluster:
+  journaled).
+* **signal channel** (worker → coordinator, one pipe shared by the fleet):
+  one byte after each publication to a result ring, so a reader such as the
+  gateway can sleep on it instead of polling.  It never carries commands.
 * **pipe**: commands, snapshot blobs, errors, and backpressure wakeups —
   everything rare enough that pickling does not matter.  On the legacy
   ``pipe`` transport the pipe carries the data plane too, exactly as before.
@@ -29,20 +35,34 @@ groups it by session, coalesces adjacent record matrices, and feeds each
 session one vectorised :meth:`ImputationSession.push_block`.  The session's
 block/tick parity guarantee makes the coalescing invisible in the results.
 
+**Results stream out as they are applied.**  On the shared-memory transport
+the worker publishes each loop tick's results, then the applied marker, the
+moment the tick's imputation returns, without being asked.  Publishing never
+blocks: frames that do not fit a full result ring wait in the worker's
+outbox for the next loop pass, so a coordinator that stops draining can
+never deadlock the worker (and through it, its own push-ring writes).  The
+``collect`` command survives as the barrier behind
+:meth:`ClusterCoordinator.flush
+<repro.cluster.coordinator.ClusterCoordinator.flush>`: its reply names the
+applied position to wait for on the result ring, plus any results the codec
+could not represent (they travel inline, pickled).  On the legacy ``pipe``
+transport every result travels in the ``collect`` reply.
+
 Because a streamed push cannot be replied to, a failure while executing one
 (say, a malformed row) is *deferred*: the exception is raised at the next
 ``collect`` for the coordinator to re-raise at the call site that gathers
-results.  On the shared-memory transport the ``collect`` reply carries the
-number of result frames about to be published (plus any results that had to
-stay inline); the frames themselves are written *after* the reply, so the
-coordinator can drain them while the worker is still publishing and neither
-side ever deadlocks on a full ring.
+results.
 """
 
 from __future__ import annotations
 
+import os
+import select
+import struct
 import time
-from typing import Dict, List, Optional
+import weakref
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +70,7 @@ from ..exceptions import ClusterError, WorkerCrashedError
 from ..results import TickResult
 from ..service import ImputationService
 from .shm import (
+    FRAME_APPLIED,
     FRAME_PUSH,
     FRAME_RESULTS,
     SharedRingBuffer,
@@ -60,7 +81,7 @@ from .shm import (
 )
 from .telemetry import WorkerTelemetry
 
-__all__ = ["ClusterWorker"]
+__all__ = ["ClusterWorker", "coordinator_end"]
 
 #: Default seconds a coordinator waits for one RPC reply before declaring the
 #: worker dead.  Generous: a worker may legitimately spend a while imputing a
@@ -75,11 +96,37 @@ _REPLY_POLL_SLICE = 0.01
 #: are event-driven — the coordinator sends a ``wake`` control message when
 #: it writes into an empty ring — so this only bounds the latency of the
 #: rare lost-wakeup race (frame published in the instant between the
-#: worker's last ring check and its pipe wait).
+#: worker's last ring check and its pipe wait), and how late progress that
+#: produced no results may be signalled.
 _IDLE_POLL = 0.02
 
 #: Spin sleep while waiting for in-flight frames below a command barrier.
 _BARRIER_SPIN = 0.0001
+
+#: First worker-side idle wait while results are queued behind a full result
+#: ring: the reader frees space without telling the worker, so it retries,
+#: doubling the wait up to ``_IDLE_POLL`` while the ring stays full.
+_OUTBOX_RETRY = 0.0005
+
+#: Payload of an applied marker: the u64 data-plane position.
+_POSITION = struct.Struct("<Q")
+
+#: Every coordinator-side pipe end alive in this process.  A worker forked
+#: from it inherits all of them and closes them first thing (see
+#: :func:`_worker_main`); under ``spawn`` the set starts empty in the child.
+_COORDINATOR_ENDS: "weakref.WeakSet" = weakref.WeakSet()
+
+
+def coordinator_end(conn):
+    """Register ``conn`` as a coordinator-side pipe end; returns it.
+
+    Forked workers close every registered end on start-up.  A worker holding
+    one would keep that pipe open after the coordinator dies, and a pipe
+    with a live writer never reports EOF — the worker would outlive its
+    coordinator.
+    """
+    _COORDINATOR_ENDS.add(conn)
+    return conn
 
 
 # --------------------------------------------------------------------------- #
@@ -129,11 +176,17 @@ def _execute_pending(service, telemetry, pending, buffered, deferred) -> None:
     pending.clear()
 
 
-def _worker_main(worker_id: int, conn, durability=None, shm_names=None) -> None:  # pragma: no cover - child process
+def _worker_main(worker_id: int, conn, durability=None, shm_names=None, signal=None) -> None:  # pragma: no cover - child process
     """Entry point of the worker child process (covered via subprocesses)."""
+    for end in list(_COORDINATOR_ENDS):
+        end.close()  # inherited through fork; see coordinator_end()
     service = ImputationService(durability=durability)
     telemetry = WorkerTelemetry(worker_id=worker_id)
     buffered: Dict[str, List[TickResult]] = {}
+    #: Results the codec cannot represent: carried by the next collect reply.
+    inline: Dict[str, List[TickResult]] = {}
+    #: ``(kind, payload)`` frames waiting for space in the result ring.
+    outbox: Deque[Tuple[int, bytes]] = deque()
     deferred: List[Exception] = []
     pending: Dict[str, list] = {}
 
@@ -141,8 +194,22 @@ def _worker_main(worker_id: int, conn, durability=None, shm_names=None) -> None:
     if shm_names is not None:
         push_ring = SharedRingBuffer.attach(shm_names[0])
         result_ring = SharedRingBuffer.attach(shm_names[1])
+    signal_fd = None
+    if signal is not None:
+        signal_fd = signal.fileno()
+        os.set_blocking(signal_fd, False)
+    retry = _OUTBOX_RETRY  # idle wait while the outbox is stuck
+
+    # One poll object for the command pipe: Connection.poll() builds a
+    # selector per call, which costs more than the rest of an idle pass.
+    poller = select.poll()
+    poller.register(conn.fileno(), select.POLLIN)
+
+    def _ready(timeout: float = 0.0) -> bool:
+        return bool(poller.poll(timeout * 1000.0))
 
     consumed = 0          # data-plane items applied (frames + piped pushes)
+    announced = 0         # position of the last applied marker queued
     held: Optional[tuple] = None  # decoded frame waiting for its position
 
     def _pump(limit: Optional[int]) -> int:
@@ -184,16 +251,16 @@ def _worker_main(worker_id: int, conn, durability=None, shm_names=None) -> None:
             if limit is not None and consumed >= limit:
                 return applied
 
-    def _collect_reply():
-        """Encode buffered results; reply count first, frames after."""
-        nonlocal buffered
-        if deferred:
-            raise deferred.pop(0)
+    def _publish() -> None:
+        """Queue the results and applied position of this tick; write what fits.
+
+        Never blocks on a full ring: the rest of the outbox waits for the
+        next loop pass.  One byte on the signal channel tells the reader
+        that something landed.  (Pipe transport: results wait for collect.)
+        """
+        nonlocal buffered, announced
         if result_ring is None:
-            reply, buffered = buffered, {}
-            return reply, None
-        frames: List[bytes] = []
-        inline: Dict[str, List[TickResult]] = {}
+            return
         for session_id, results in buffered.items():
             try:
                 encoded = encode_result_frames(
@@ -204,17 +271,32 @@ def _worker_main(worker_id: int, conn, durability=None, shm_names=None) -> None:
                     for payload in encoded
                 ):
                     # A single tick result too large to split (it alone
-                    # overflows a frame): ship it inline rather than letting
-                    # the post-reply ring write blow up the worker.
+                    # overflows a frame) can never be written to the ring.
                     raise ValueError("unsplittable oversized result frame")
             except Exception:
                 # Results the codec cannot represent stay on the pickled
                 # control plane; correctness beats zero-copy here.
-                inline[session_id] = results
+                inline.setdefault(session_id, []).extend(results)
             else:
-                frames.extend(encoded)
+                outbox.extend((FRAME_RESULTS, payload) for payload in encoded)
         buffered = {}
-        return (len(frames), inline), frames
+        if consumed != announced:
+            outbox.append((FRAME_APPLIED, _POSITION.pack(consumed)))
+            announced = consumed
+        wrote = False
+        while outbox:
+            kind, payload = outbox[0]
+            if not result_ring.try_write(kind, [payload]):
+                telemetry.result_ring_stalls += 1
+                break
+            outbox.popleft()
+            telemetry.record_frame_out(len(payload), 0)
+            wrote = True
+        if wrote and signal_fd is not None:
+            try:
+                os.write(signal_fd, b"\x01")
+            except BlockingIOError:
+                pass  # the channel is full: the reader has wake-ups pending
 
     running = True
     while running:
@@ -222,15 +304,25 @@ def _worker_main(worker_id: int, conn, durability=None, shm_names=None) -> None:
             commands = []
             if push_ring is None:
                 commands.append(conn.recv())  # legacy: block on the pipe
-            while conn.poll():
+            while _ready():
                 commands.append(conn.recv())
             if push_ring is not None:
                 drained = _pump(None)
                 if not commands and not drained:
-                    if not conn.poll(_IDLE_POLL):
+                    if not _ready(retry if outbox else _IDLE_POLL):
+                        stuck = len(outbox)
+                        _publish()
+                        retry = (
+                            min(retry * 2, _IDLE_POLL)
+                            if outbox and len(outbox) >= stuck
+                            else _OUTBOX_RETRY
+                        )
                         continue
-                    while conn.poll():
+                    while _ready():
                         commands.append(conn.recv())
+                    # A wake-up follows the frames it announces: apply them
+                    # in this same pass.
+                    drained = _pump(None)
         except (EOFError, OSError):
             break  # coordinator went away; nothing left to serve
         if push_ring is None:
@@ -271,22 +363,26 @@ def _worker_main(worker_id: int, conn, durability=None, shm_names=None) -> None:
             if barrier is not None:
                 _pump(barrier)
             _execute_pending(service, telemetry, pending, buffered, deferred)
-            result_frames = None
+            _publish()
+            # Replies to the calls that move a session's tick count carry the
+            # count, so the coordinator knows every session's confirmed tick.
             try:
                 if op == "push_sync":
                     _, session_id, row, timestamp = command
                     started = time.perf_counter()
-                    reply = service.push(session_id, row, timestamp=timestamp)
+                    results = service.push(session_id, row, timestamp=timestamp)
                     telemetry.record_push(
-                        1, len(reply), time.perf_counter() - started
+                        1, len(results), time.perf_counter() - started
                     )
+                    reply = (results, service.session(session_id).ticks_seen)
                 elif op == "push_block":
                     _, session_id, block = command
                     started = time.perf_counter()
-                    reply = service.push_block(session_id, block)
+                    results = service.push_block(session_id, block)
                     telemetry.record_push(
-                        len(block), len(reply), time.perf_counter() - started
+                        len(block), len(results), time.perf_counter() - started
                     )
+                    reply = (results, service.session(session_id).ticks_seen)
                 elif op == "create_session":
                     _, session_id, method, series_names, warmup_ticks, params = command
                     service.create_session(
@@ -297,19 +393,29 @@ def _worker_main(worker_id: int, conn, durability=None, shm_names=None) -> None:
                 elif op == "prime":
                     _, session_id, history = command
                     service.prime(session_id, history)
-                    reply = None
+                    reply = service.session(session_id).ticks_seen
                 elif op == "snapshot":
                     reply = service.snapshot(command[1])
                 elif op == "restore":
                     _, session_id, blob = command
-                    service.restore(session_id, blob)
-                    reply = None
+                    reply = service.restore(session_id, blob).ticks_seen
                 elif op == "remove_session":
+                    # Results already produced for the session stay queued:
+                    # they are still delivered.
                     service.remove_session(command[1])
-                    buffered.pop(command[1], None)
                     reply = None
                 elif op == "collect":
-                    reply, result_frames = _collect_reply()
+                    # The flush barrier: everything below it is applied and
+                    # its results queued.  The reply names the applied
+                    # position to wait for on the result ring, plus the
+                    # results that travel inline (all of them on the pipe
+                    # transport).
+                    if deferred:
+                        raise deferred.pop(0)
+                    if result_ring is None:
+                        reply, buffered = (consumed, buffered), {}
+                    else:
+                        reply, inline = (consumed, inline), {}
                 elif op == "stats":
                     telemetry.sessions = service.session_ids
                     reply = telemetry.as_dict()
@@ -327,19 +433,11 @@ def _worker_main(worker_id: int, conn, durability=None, shm_names=None) -> None:
                 conn.send(("error", error))
             else:
                 conn.send(("ok", reply))
-                if result_frames is not None:
-                    # Published after the count reached the coordinator, so
-                    # it drains while we block on a full ring — no deadlock.
-                    for payload in result_frames:
-                        stalls = result_ring.write(
-                            FRAME_RESULTS, [payload],
-                            describe=f"coordinator of worker {worker_id}",
-                        )
-                        telemetry.record_frame_out(len(payload), stalls)
             if not running:
                 break
         else:
             _execute_pending(service, telemetry, pending, buffered, deferred)
+            _publish()
     service.close()  # release WAL handles; on-disk state stays recoverable
     conn.close()
     if push_ring is not None:
@@ -358,7 +456,13 @@ class ClusterWorker:
     shapes the coordinator needs: feed-and-forget streaming
     (:meth:`push_rows`), blocking RPC (:meth:`request`), pipelined RPC
     (:meth:`send_request` ... :meth:`recv_reply`), and result-ring draining
-    (:meth:`drain_results` / :meth:`consume_results`).
+    (:meth:`drain_results` / :meth:`wait_applied`).  It also keeps the
+    emit log: which session's rows sit below which data-plane position, so
+    every applied marker the worker publishes settles exact per-session
+    record counts.
+
+    ``signal`` is the write end of the fleet's signal channel (shm
+    transport only; see the module docstring).
     """
 
     def __init__(
@@ -368,6 +472,7 @@ class ClusterWorker:
         durability=None,
         transport: str = "shm",
         ring_capacity: Optional[int] = None,
+        signal=None,
     ) -> None:
         self.worker_id = int(worker_id)
         self._push_ring: Optional[SharedRingBuffer] = None
@@ -389,16 +494,23 @@ class ClusterWorker:
         #: Data-plane items sent (frames + piped push fallbacks) — the
         #: barrier stamped onto every control command.
         self._position = 0
-        self._result_frames_seen = 0
-        self._result_frames_claimed = 0
+        #: Highest applied position the worker has announced.
+        self._applied = 0
+        #: Emits not yet applied: ``(end position, session id, records)``.
+        self._unapplied: Deque[Tuple[int, str, int]] = deque()
+        #: Drained results whose applied marker has not arrived yet.
+        self._unconfirmed: List[Tuple[str, List[TickResult]]] = []
         self._pipe_messages = 0
         self._pipe_data_bytes = 0
         self._push_ring_stalls = 0
         parent_conn, child_conn = context.Pipe(duplex=True)
-        self._conn = parent_conn
+        self._conn = coordinator_end(parent_conn)
         self._process = context.Process(
             target=_worker_main,
-            args=(self.worker_id, child_conn, durability, shm_names),
+            args=(
+                self.worker_id, child_conn, durability, shm_names,
+                signal if self._result_ring is not None else None,
+            ),
             name=f"repro-cluster-worker-{self.worker_id}",
             daemon=True,
         )
@@ -435,8 +547,17 @@ class ClusterWorker:
         drop; a dead worker raises
         :class:`~repro.exceptions.WorkerCrashedError`.
         """
-        if not self.alive:
+        # A closed pipe means killed or fenced.  A crash not seen yet
+        # surfaces at the next RPC or full-ring write: checking the process
+        # here would cost a waitpid on every emit.
+        if self._conn.closed:
             raise ClusterError(f"worker {self.worker_id} is gone")
+        self._emit(session_id, rows)
+        # Logged once the rows are on their way: an emit that raised above
+        # never reached the worker, so nothing waits for it to apply.
+        self._unapplied.append((self._position, session_id, len(rows)))
+
+    def _emit(self, session_id: str, rows: List) -> None:
         if self._push_ring is None:
             self._pipe_data_bytes += sum(
                 8 * len(row) if hasattr(row, "__len__") else 8 for row in rows
@@ -577,54 +698,88 @@ class ClusterWorker:
         self.send("wedge")
 
     # ------------------------------------------------------------------ #
-    # Result-ring draining (shm transport)
+    # Result-ring draining (shm transport) and the emit log
     # ------------------------------------------------------------------ #
-    def drain_results(self, sink) -> int:
-        """Decode all published result frames into ``sink(sid, results)``."""
+    def drain_results(self, sink) -> List[Tuple[str, int]]:
+        """Decode every published frame without blocking.
+
+        Results go to ``sink(session_id, results)`` once the applied marker
+        after them arrives, so only confirmed work is handed out: results a
+        worker published and died before confirming are dropped with its
+        unconfirmed records (see :meth:`settle_all`).  Applied markers settle
+        the emit log; returns the ``(session_id, records)`` emits they
+        showed applied.
+        """
         if self._result_ring is None:
-            return 0
-        count = 0
+            return []
+        applied = self._applied
         while True:
             frame = self._result_ring.read()
             if frame is None:
                 break
-            _, view = frame
+            kind, view = frame
+            if kind == FRAME_APPLIED:
+                applied = _POSITION.unpack(view)[0]
+                self._result_ring.release()
+                for session_id, results in self._unconfirmed:
+                    sink(session_id, results)
+                self._unconfirmed.clear()
+                continue
             session_id, results = decode_result_frame(view)
             self._result_ring.release()
-            sink(session_id, results)
-            count += 1
-        self._result_frames_seen += count
-        return count
+            self._unconfirmed.append((session_id, results))
+        return self._settle(applied)
 
-    def consume_results(
-        self, frames: int, sink, timeout: float = DEFAULT_REPLY_TIMEOUT
-    ) -> None:
-        """Block until ``frames`` more result frames have been drained.
+    def wait_applied(
+        self, position: int, sink, timeout: float = DEFAULT_REPLY_TIMEOUT
+    ) -> List[Tuple[str, int]]:
+        """Drain until the worker announces ``position`` as applied.
 
-        Called after a ``collect`` reply announced its frame count; the
-        worker publishes the frames right after replying, so this normally
-        returns after one or two drains.  A worker death mid-publication
-        leaves at worst a torn (never-published, hence invisible) frame —
-        it is discarded with the segment and surfaces here as
-        :class:`~repro.exceptions.WorkerCrashedError`.
+        Called after a ``collect`` reply named its position; the worker has
+        already queued every frame below it and publishes the rest as the
+        ring frees up, so this normally returns after one or two drains.  A
+        worker death mid-publication leaves at worst a torn (never-published,
+        hence invisible) frame — it is discarded with the segment and
+        surfaces here as :class:`~repro.exceptions.WorkerCrashedError`.
+        Returns the settled emits, like :meth:`drain_results`.
         """
-        target = self._result_frames_claimed + frames
+        settled = self.drain_results(sink)
         deadline = time.monotonic() + timeout
-        while self._result_frames_seen < target:
-            if self.drain_results(sink):
-                continue
-            if not self._process.is_alive() and not self.drain_results(sink):
+        while self._applied < position:
+            time.sleep(_BARRIER_SPIN)
+            settled += self.drain_results(sink)
+            if self._applied >= position:
+                break
+            if not self._process.is_alive():
                 raise WorkerCrashedError(
                     f"worker {self.worker_id} crashed while publishing "
                     f"results; torn frames discarded"
                 )
             if time.monotonic() > deadline:
                 raise ClusterError(
-                    f"worker {self.worker_id} did not publish its announced "
-                    f"result frames within {timeout:.0f}s"
+                    f"worker {self.worker_id} did not apply position "
+                    f"{position} within {timeout:.0f}s"
                 )
-            time.sleep(_BARRIER_SPIN)
-        self._result_frames_claimed = target
+        return settled
+
+    def settle_all(self) -> List[Tuple[str, int]]:
+        """Pop the whole emit log (pipe-transport collect, or a dead worker).
+
+        Results drained without their applied marker are dropped: a dead
+        worker never confirmed them.
+        """
+        self._unconfirmed.clear()
+        return self._settle(None)
+
+    def _settle(self, applied: Optional[int]) -> List[Tuple[str, int]]:
+        if applied is not None:
+            self._applied = applied
+        settled = []
+        log = self._unapplied
+        while log and (applied is None or log[0][0] <= applied):
+            _, session_id, records = log.popleft()
+            settled.append((session_id, records))
+        return settled
 
     # ------------------------------------------------------------------ #
     # Telemetry
@@ -678,7 +833,7 @@ class ClusterWorker:
         """
         return self._process.is_alive() and not self._conn.closed
 
-    def kill(self) -> None:
+    def kill(self, salvage=None) -> None:
         """Hard-kill the worker process without draining it (crash injection).
 
         Unlike :meth:`stop` there is no graceful ``shutdown`` RPC: the
@@ -689,7 +844,9 @@ class ClusterWorker:
         :meth:`ClusterCoordinator.terminate_worker
         <repro.cluster.coordinator.ClusterCoordinator.terminate_worker>`;
         with durability enabled, every record the worker acknowledged is
-        recoverable from its checkpoint store afterwards.
+        recoverable from its checkpoint store afterwards.  ``salvage(self)``
+        runs between the death and the ring teardown, to drain what the
+        worker had published.
         """
         if self._process.is_alive():
             self._process.terminate()
@@ -698,6 +855,8 @@ class ClusterWorker:
             self._process.kill()
             self._process.join(timeout=10.0)
         self._conn.close()
+        if salvage is not None and self._result_ring is not None:
+            salvage(self)
         self._close_rings()
 
     def stop(self, timeout: float = 10.0) -> None:

@@ -18,14 +18,16 @@ visible in the paper's Fig. 9d.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-import networkx as nx
 import numpy as np
 
 from ..exceptions import DatasetError
 from ..streams.series import TimeSeries
 from .base import Dataset
+
+if TYPE_CHECKING:  # networkx is imported where a network is built
+    import networkx as nx
 
 __all__ = ["generate_chlorine", "build_water_network"]
 
@@ -40,7 +42,7 @@ def build_water_network(
     num_junctions: int,
     seed: Optional[int] = None,
     branching: int = 2,
-) -> nx.DiGraph:
+) -> "nx.DiGraph":
     """Build a random tree-shaped water distribution network.
 
     The network is a directed tree rooted at the source node ``0``: water (and
@@ -58,6 +60,8 @@ def build_water_network(
     """
     if num_junctions < 2:
         raise DatasetError(f"num_junctions must be >= 2, got {num_junctions}")
+    import networkx as nx
+
     rng = np.random.default_rng(seed)
     graph = nx.DiGraph()
     graph.add_node(0)
@@ -129,6 +133,8 @@ def generate_chlorine(
         raise DatasetError(f"num_series must be >= 2, got {num_series}")
     if num_points < 2:
         raise DatasetError(f"num_points must be >= 2, got {num_points}")
+
+    import networkx as nx
 
     rng = np.random.default_rng(seed)
     total_junctions = num_junctions or max(2 * num_series, 40)

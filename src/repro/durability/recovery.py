@@ -31,7 +31,7 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,13 +133,26 @@ class RecoveryManager:
     # ------------------------------------------------------------------ #
     # Reading on-disk state
     # ------------------------------------------------------------------ #
-    def _load(self, session_id: str) -> Tuple[bytes, list, "SessionRecovery"]:
-        """Eagerly read one session's checkpoint blob and full WAL tail."""
-        info = self.store.latest_checkpoint(session_id)
-        if info is None:
+    def _load(
+        self, session_id: str, until: Optional[int] = None
+    ) -> Tuple[bytes, list, "SessionRecovery"]:
+        """Eagerly read one session's checkpoint blob and WAL tail.
+
+        With ``until``, the state is rebuilt to tick ``until`` instead of
+        the journal's end: the newest checkpoint at or before it, plus its
+        WAL cut at that tick (or the oldest checkpoint, when every retained
+        one is newer).
+        """
+        checkpoints = self.store.checkpoints(session_id)
+        if not checkpoints:
             raise RecoveryError(
                 f"session {session_id!r} has no checkpoint under "
                 f"{self.store.root!r}; it cannot be recovered"
+            )
+        info = checkpoints[-1]
+        if until is not None:
+            info = next(
+                (c for c in reversed(checkpoints) if c.tick <= until), checkpoints[0]
             )
         blob = self.store.read_checkpoint(session_id, info.version)
         wal_path = self.store.wal_path(session_id, info.version)
@@ -152,6 +165,8 @@ class RecoveryManager:
             # A checkpoint written instants before the crash may not have an
             # accompanying WAL file yet; recovery is then the checkpoint alone.
             frames = []
+        if until is not None:
+            frames = _cut(frames, max(until - info.tick, 0))
         records = sum(int(matrix.shape[0]) for matrix, _, _ in frames)
         outcome = SessionRecovery(
             session_id=session_id,
@@ -185,7 +200,11 @@ class RecoveryManager:
         return session, outcome
 
     def recover_into(
-        self, target, session_ids: Optional[Sequence[str]] = None
+        self,
+        target,
+        session_ids: Optional[Sequence[str]] = None,
+        *,
+        until: Optional[Mapping[str, int]] = None,
     ) -> RecoveryReport:
         """Recover sessions into any service surface; returns the report.
 
@@ -194,7 +213,9 @@ class RecoveryManager:
         timestamp=None)`` — satisfied by
         :class:`~repro.service.service.ImputationService` and
         :class:`~repro.cluster.coordinator.ClusterCoordinator` alike.
-        ``session_ids`` defaults to everything stored under the root.
+        ``session_ids`` defaults to everything stored under the root;
+        ``until`` maps a session to the tick to rebuild it to (a crash
+        rollback) instead of the end of its journal.
         When the target is itself durability-enabled, each restore writes a
         fresh checkpoint and the replayed records are re-journaled, so the
         recovered fleet is immediately crash-safe again.
@@ -203,7 +224,9 @@ class RecoveryManager:
             session_ids = self.store.session_ids()
         report = RecoveryReport()
         for session_id in session_ids:
-            blob, frames, outcome = self._load(session_id)
+            blob, frames, outcome = self._load(
+                session_id, None if until is None else until.get(session_id)
+            )
             # Restore only after the WAL is fully buffered: a durable target
             # rotates (and eventually prunes) the very files being read.
             target.restore(session_id, blob)
@@ -233,6 +256,22 @@ class RecoveryManager:
         counters.recoveries += 1
         counters.recovery_replay_seconds += outcome.replay_seconds
         counters.recovery_records_replayed += outcome.wal_records
+
+
+def _cut(frames: list, records: int) -> list:
+    """The leading ``records`` rows of a WAL tail, cutting a frame if needed."""
+    kept = []
+    for matrix, mask, timestamps in frames:
+        if records <= 0:
+            break
+        rows = int(matrix.shape[0])
+        if rows > records:
+            matrix = matrix[:records]
+            mask = None if mask is None else mask[:records]
+            timestamps = None if timestamps is None else timestamps[:records]
+        kept.append((matrix, mask, timestamps))
+        records -= rows
+    return kept
 
 
 def _series_names_of(blob: bytes) -> List[str]:

@@ -58,6 +58,20 @@ class WorkerCrashedError(ClusterError):
     :meth:`~repro.cluster.coordinator.ClusterCoordinator.heal`."""
 
 
+class RolledBackError(ClusterError):
+    """The session's stream was rolled back by a worker crash: records that
+    were in flight to the dead worker, and everything queued behind them,
+    were not kept (the recovered shard holds exactly the state its worker
+    had confirmed).  Pushes are refused until the caller acknowledges with
+    :meth:`~repro.cluster.coordinator.ClusterCoordinator.rewind`, which
+    returns ``applied`` — the session's confirmed pipelined record count —
+    so the caller can re-send from there."""
+
+    def __init__(self, message: str, *, applied: int = 0) -> None:
+        super().__init__(message)
+        self.applied = int(applied)
+
+
 class GatewayError(ReproError):
     """A network-gateway operation failed (connection refused, handshake
     rejected, server-side push failure reported over the wire)."""

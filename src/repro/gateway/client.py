@@ -5,9 +5,11 @@ Two layers, mirroring how the protocol itself is split:
 * :class:`AsyncGatewayClient` — the asyncio core.  One TCP connection, a
   background reader task that turns arriving bytes into frames (via the
   sans-io :class:`~repro.gateway.protocol.FrameDecoder`) and routes them:
-  RESULT frames accumulate per station (and feed an optional
-  ``result_hook`` for latency measurement), control replies resolve the
-  awaiting request, ERROR frames fail the pending request or are recorded.
+  RESULT frames accumulate per station as the server streams them (and feed
+  an optional ``result_hook`` for latency measurement), control replies
+  resolve the awaiting request (PONG and FLUSH_OK only when they echo its
+  token), and ERROR frames are recorded — an ERROR about a push names the
+  push's station and sequence and never fails an unrelated request.
   Pushes are fire-and-forget — the socket *is* the pipeline, exactly like
   the coordinator's ``push_nowait`` — and :meth:`flush` is the barrier that
   makes every earlier push's results visible.
@@ -54,9 +56,10 @@ class AsyncGatewayClient:
     Create with :meth:`connect`; close with :meth:`close`.  Control
     operations (:meth:`create_session`, :meth:`prime`, :meth:`flush`,
     :meth:`ping`) are request/reply and serialised per connection; pushes
-    are pipelined fire-and-forget.  Results arriving between calls are
-    buffered per station and claimed with :meth:`take_results` (or
-    :meth:`flush`, which drains the server first).
+    are pipelined fire-and-forget.  Results stream in as the server applies
+    the pushes; they are buffered per station and claimed with
+    :meth:`take_results` (or :meth:`flush`, which waits for every earlier
+    push's results first).
 
     Attributes
     ----------
@@ -76,10 +79,10 @@ class AsyncGatewayClient:
         resumed HELLO_OKs — everything below the sequence is applied
         server-side.
     errors:
-        ``(code, message)`` pairs of every non-shed ERROR frame received.
-        An ERROR arriving while a request is in flight also fails that
-        request, so a rejected fire-and-forget push surfaces on the next
-        control call.
+        ``(code, message)`` pairs of every ERROR frame received other than
+        shed and unavailable pushes.  An ERROR about a push (it names the
+        push's station and sequence) is only recorded here; any other
+        ERROR also fails the request in flight.
     """
 
     def __init__(
@@ -97,9 +100,12 @@ class AsyncGatewayClient:
         self._push_seq: Dict[str, int] = {}
         self._results: Dict[str, List[TickResult]] = {}
         self._request_lock = asyncio.Lock()
-        self._pending: Optional[Tuple[int, asyncio.Future]] = None
+        #: The request in flight: ``(reply kind, echoed token or None, future)``.
+        self._pending: Optional[Tuple[int, Optional[int], asyncio.Future]] = None
         self._reader_task: Optional[asyncio.Task] = None
         self._closed = False
+        #: Why the connection died, once the reader task saw it die.
+        self._lost: Optional[GatewayError] = None
         self.result_hook: Optional[Callable[[str, List[TickResult]], None]] = None
         self.shed: List[str] = []
         self.unavailable: List[Tuple[float, str]] = []
@@ -188,52 +194,67 @@ class AsyncGatewayClient:
             code, message = protocol.decode_error(payload)
             if code == protocol.ERR_OVERLOADED:
                 self.shed.append(message)
-                return  # shed pushes never fail an unrelated request
-            if code == protocol.ERR_UNAVAILABLE:
+            elif code == protocol.ERR_UNAVAILABLE:
                 self.unavailable.append(protocol.decode_unavailable(message))
-                return  # refused pushes never fail an unrelated request
-            name = _ERROR_NAMES.get(code, str(code))
-            # Always recorded; additionally fails the request in flight (a
-            # rejected fire-and-forget push surfaces on the next request).
-            self.errors.append((code, message))
-            self._resolve_pending_error(
-                GatewayError(f"gateway {name} error: {message}")
-            )
-        else:
-            if self._pending is not None and self._pending[0] == kind:
-                _, future = self._pending
-                self._pending = None
-                if not future.done():
-                    future.set_result(payload)
-            # A reply nobody awaits (e.g. PONG after a timeout) is dropped.
+            else:
+                self.errors.append((code, message))
+                if protocol.decode_error_ref(payload) is None:
+                    # Not about a push: the answer to the request in flight.
+                    name = _ERROR_NAMES.get(code, str(code))
+                    self._resolve_pending_error(
+                        GatewayError(f"gateway {name} error: {message}")
+                    )
+        elif self._pending is not None and self._pending[0] == kind:
+            _, token, future = self._pending
+            if token is not None and protocol.decode_token(payload) != token:
+                return  # a late reply to an abandoned request
+            self._pending = None
+            if not future.done():
+                future.set_result(payload)
+        # A reply nobody awaits (e.g. PONG after a timeout) is dropped.
 
     def _resolve_pending_error(self, error: GatewayError) -> bool:
         if self._pending is None:
             return False
-        _, future = self._pending
+        _, _, future = self._pending
         self._pending = None
         if not future.done():
             future.set_exception(error)
         return True
 
     def _fail_pending(self, error: GatewayError) -> None:
+        self._lost = error
         self._resolve_pending_error(error)
+
+    def _check_usable(self) -> None:
+        if self._closed:
+            raise GatewayError("the gateway client is closed")
+        if self._lost is not None:
+            # Nothing will answer on a dead connection: fail now, not at a
+            # timeout (the resilient client reconnects on this).
+            raise GatewayError(str(self._lost))
 
     # ------------------------------------------------------------------ #
     # Request/reply plumbing
     # ------------------------------------------------------------------ #
-    async def _request(self, kind: int, payload: bytes, reply_kind: int) -> bytes:
-        if self._closed:
-            raise GatewayError("the gateway client is closed")
+    async def _request(
+        self, kind: int, payload: bytes, reply_kind: int, token: Optional[int] = None
+    ) -> bytes:
+        """Send one control request and await its reply.
+
+        With ``token``, only a reply echoing it resolves the request.
+        """
+        self._check_usable()
         async with self._request_lock:
+            self._check_usable()  # the connection may have died meanwhile
             future: asyncio.Future = asyncio.get_event_loop().create_future()
-            self._pending = (reply_kind, future)
+            self._pending = (reply_kind, token, future)
             self._writer.write(protocol.encode_frame(kind, payload))
             try:
                 await self._writer.drain()
                 return await future
             finally:
-                if self._pending is not None and self._pending[1] is future:
+                if self._pending is not None and self._pending[2] is future:
                     self._pending = None
 
     # ------------------------------------------------------------------ #
@@ -275,7 +296,7 @@ class AsyncGatewayClient:
         )
 
     async def push(self, station: str, row) -> None:
-        """Stream one record, fire-and-forget (results arrive after a flush)."""
+        """Stream one record, fire-and-forget (its results stream back)."""
         await self._push_rows(protocol.FRAME_PUSH, station, [row])
 
     async def push_block(self, station: str, rows: Sequence) -> None:
@@ -283,8 +304,7 @@ class AsyncGatewayClient:
         await self._push_rows(protocol.FRAME_PUSH_BLOCK, station, rows)
 
     async def _push_rows(self, kind: int, station: str, rows: Sequence) -> None:
-        if self._closed:
-            raise GatewayError("the gateway client is closed")
+        self._check_usable()
         seq = self._push_seq.get(station, 0)
         payloads, next_seq = protocol.encode_push_payloads(
             seq, station, rows, self._max_frame_payload
@@ -302,8 +322,7 @@ class AsyncGatewayClient:
         keep their original sequence stamps, so a replay is byte-identical
         to the first transmission.
         """
-        if self._closed:
-            raise GatewayError("the gateway client is closed")
+        self._check_usable()
         for kind, payload in frames:
             self._writer.write(protocol.encode_frame(kind, payload))
         await self._writer.drain()
@@ -311,22 +330,18 @@ class AsyncGatewayClient:
     async def flush(self) -> Dict[str, List[TickResult]]:
         """Barrier: deliver every earlier push's results and claim them.
 
-        Sends FLUSH and waits for FLUSH_OK, which the server emits only
-        after flushing the backend and writing all of this connection's
-        RESULT frames to the socket; then returns (and clears) the
-        accumulated ``{station: [TickResult, ...]}``.
+        Sends FLUSH and waits for the FLUSH_OK echoing its token, which the
+        server emits only after every earlier push of this connection is
+        applied and its RESULT frames are on the socket; then returns (and
+        clears) the accumulated ``{station: [TickResult, ...]}``.
         """
         token = next(self._seq)
-        reply = await self._request(
+        await self._request(
             protocol.FRAME_FLUSH,
             protocol.encode_token(token),
             protocol.FRAME_FLUSH_OK,
+            token,
         )
-        echoed = protocol.decode_token(reply)
-        if echoed != token:
-            raise ProtocolError(
-                f"FLUSH_OK token mismatch: sent {token}, got {echoed}"
-            )
         return self.take_results()
 
     def take_results(self) -> Dict[str, List[TickResult]]:
@@ -337,11 +352,10 @@ class AsyncGatewayClient:
     async def ping(self) -> None:
         """Round-trip a PING/PONG token (liveness check)."""
         token = next(self._seq)
-        reply = await self._request(
-            protocol.FRAME_PING, protocol.encode_token(token), protocol.FRAME_PONG
+        await self._request(
+            protocol.FRAME_PING, protocol.encode_token(token), protocol.FRAME_PONG,
+            token,
         )
-        if protocol.decode_token(reply) != token:
-            raise ProtocolError("PONG token mismatch")
 
     def raise_if_shed(self) -> None:
         """Raise :class:`~repro.exceptions.OverloadedError` if pushes were shed."""

@@ -309,7 +309,6 @@ def gateway_bench_record(
     seed: int = 2017,
     pause_watermark: int = 8192,
     shed_watermark: Optional[int] = None,
-    flush_interval: float = 0.01,
     check_parity: bool = True,
 ) -> Dict[str, object]:
     """Run the full gateway benchmark and return the ``BENCH_gateway`` record.
@@ -331,7 +330,6 @@ def gateway_bench_record(
             cluster,
             pause_watermark=pause_watermark,
             shed_watermark=shed_watermark,
-            flush_interval=flush_interval,
         )
         with server.background():
             report = run_loadgen(
@@ -362,7 +360,6 @@ def gateway_bench_record(
             "seed": seed,
             "pause_watermark": pause_watermark,
             "shed_watermark": shed_watermark,
-            "flush_interval": flush_interval,
         },
         "records": report.records,
         "elapsed_seconds": report.elapsed_seconds,

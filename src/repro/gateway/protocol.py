@@ -60,6 +60,7 @@ __all__ = [
     "FRAME_PING",
     "FRAME_PONG",
     "FRAME_ACK",
+    "FRAME_RECEIVED",
     "ERR_PROTOCOL",
     "ERR_SESSION",
     "ERR_OVERLOADED",
@@ -79,6 +80,7 @@ __all__ = [
     "decode_prime",
     "encode_error",
     "decode_error",
+    "decode_error_ref",
     "encode_token",
     "decode_token",
     "encode_ack",
@@ -87,8 +89,9 @@ __all__ = [
     "decode_unavailable",
 ]
 
-#: Version carried in every HELLO; the server rejects mismatches.
-PROTOCOL_VERSION = 1
+#: Version carried in every HELLO; the server rejects mismatches.  Version 2
+#: added push-scoped ERRORs, PING/FLUSH tokens, ``results_from`` and RECEIVED.
+PROTOCOL_VERSION = 2
 
 #: Default upper bound on a single frame's payload.  Generous for record
 #: blocks and result batches, small enough that a garbage length prefix
@@ -98,8 +101,8 @@ DEFAULT_MAX_FRAME_PAYLOAD = 8 << 20
 _FRAME_HEADER = struct.Struct("<IIB")
 
 # Frame kinds.  Client -> server: HELLO, PUSH, PUSH_BLOCK, PRIME, FLUSH,
-# PING.  Server -> client: HELLO_OK, PRIME_OK, FLUSH_OK, RESULT, ERROR,
-# PONG, ACK.
+# PING, RECEIVED.  Server -> client: HELLO_OK, PRIME_OK, FLUSH_OK, RESULT,
+# ERROR, PONG, ACK.
 FRAME_HELLO = 1
 FRAME_HELLO_OK = 2
 FRAME_PUSH = 3
@@ -113,8 +116,11 @@ FRAME_ERROR = 10
 FRAME_PING = 11
 FRAME_PONG = 12
 FRAME_ACK = 13
+#: ``{station: first tick index without a received result}`` in the ACK
+#: layout: the server may forget results below it (see encode_ack).
+FRAME_RECEIVED = 14
 
-_KNOWN_KINDS = frozenset(range(FRAME_HELLO, FRAME_ACK + 1))
+_KNOWN_KINDS = frozenset(range(FRAME_HELLO, FRAME_RECEIVED + 1))
 
 # Error codes carried by ERROR frames.
 ERR_PROTOCOL = 1     #: the peer sent a malformed or unexpected frame
@@ -213,6 +219,7 @@ def encode_hello(
     *,
     token: Optional[str] = None,
     resume: bool = False,
+    results_from: Optional[int] = None,
 ) -> bytes:
     """Encode the session-opening handshake for one station.
 
@@ -222,6 +229,9 @@ def encode_hello(
     the station's leased session (the token must match the one that opened
     it); the HELLO_OK then reports the cumulative applied push sequence so
     the client knows exactly which outbox frames to replay.
+    ``results_from`` (resume only) is the first tick index the client has
+    not received a result for: the server re-sends the results it retained
+    for the lease from there on (all of them when omitted).
     """
     message: Dict[str, object] = {
         "version": PROTOCOL_VERSION,
@@ -235,6 +245,8 @@ def encode_hello(
         message["token"] = str(token)
     if resume:
         message["resume"] = True
+    if results_from is not None:
+        message["results_from"] = int(results_from)
     return json.dumps(message, sort_keys=True).encode("utf-8")
 
 
@@ -405,18 +417,64 @@ def decode_prime(payload: bytes) -> Tuple[str, Dict[str, np.ndarray]]:
 # --------------------------------------------------------------------------- #
 # ERROR and PING/PONG
 # --------------------------------------------------------------------------- #
-def encode_error(code: int, message: str) -> bytes:
-    """Encode an ERROR payload (``u16`` code + UTF-8 message)."""
-    return struct.pack("<H", code) + message.encode("utf-8")
+#: Bit set in an ERROR code when a ``(station, sequence)`` reference follows.
+_ERROR_REF = 0x8000
+
+
+def _pack_station(station: str) -> bytes:
+    """``u16`` length + UTF-8 bytes (the station field of ERROR and ACK)."""
+    raw = str(station).encode("utf-8")
+    return struct.pack("<H", len(raw)) + raw
+
+
+def encode_error(
+    code: int, message: str, ref: Optional[Tuple[str, int]] = None
+) -> bytes:
+    """Encode an ERROR payload: ``u16`` code, optional reference, UTF-8 message.
+
+    ``ref=(station, seq)`` marks an error about one PUSH payload: the code
+    gains bit 15 and ``u16`` station length + UTF-8 station + ``u64``
+    sequence precede the message, so a client can tell it from the reply to
+    a control request.
+    """
+    if ref is None:
+        return struct.pack("<H", code) + message.encode("utf-8")
+    station, seq = ref
+    return (
+        struct.pack("<H", code | _ERROR_REF)
+        + _pack_station(station)
+        + struct.pack("<Q", seq)
+        + message.encode("utf-8")
+    )
+
+
+def _split_error(payload: bytes) -> Tuple[int, Optional[Tuple[str, int]], str]:
+    try:
+        (code,) = struct.unpack_from("<H", payload, 0)
+        offset = 2
+        ref = None
+        if code & _ERROR_REF:
+            code &= ~_ERROR_REF
+            (length,) = struct.unpack_from("<H", payload, offset)
+            station = bytes(payload[offset + 2: offset + 2 + length]).decode("utf-8")
+            offset += 2 + length
+            (seq,) = struct.unpack_from("<Q", payload, offset)
+            offset += 8
+            ref = (station, seq)
+        return code, ref, bytes(payload[offset:]).decode("utf-8")
+    except (struct.error, UnicodeDecodeError) as error:
+        raise ProtocolError(f"malformed ERROR payload: {error}") from None
 
 
 def decode_error(payload: bytes) -> Tuple[int, str]:
     """Decode an ERROR payload into ``(code, message)``."""
-    try:
-        (code,) = struct.unpack_from("<H", payload, 0)
-        return code, payload[2:].decode("utf-8")
-    except (struct.error, UnicodeDecodeError) as error:
-        raise ProtocolError(f"malformed ERROR payload: {error}") from None
+    code, _, message = _split_error(payload)
+    return code, message
+
+
+def decode_error_ref(payload: bytes) -> Optional[Tuple[str, int]]:
+    """The ``(station, seq)`` a PUSH error refers to; ``None`` for other errors."""
+    return _split_error(payload)[1]
 
 
 def encode_token(token: int) -> bytes:
@@ -446,11 +504,9 @@ def encode_ack(acks: Mapping[str, int]) -> bytes:
     """
     parts = [struct.pack("<I", len(acks))]
     for station, seq in acks.items():
-        raw = str(station).encode("utf-8")
         if int(seq) < 0:
             raise ValueError(f"negative ACK sequence for {station!r}: {seq}")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
+        parts.append(_pack_station(station))
         parts.append(struct.pack("<Q", int(seq)))
     return b"".join(parts)
 
@@ -480,12 +536,14 @@ def decode_ack(payload: bytes) -> Dict[str, int]:
         raise ProtocolError(f"malformed ACK payload: {error}") from None
 
 
-def encode_unavailable(retry_after: float, detail: str = "") -> bytes:
+def encode_unavailable(
+    retry_after: float, detail: str = "", ref: Optional[Tuple[str, int]] = None
+) -> bytes:
     """Encode an ``ERROR(UNAVAILABLE)`` payload carrying a retry hint."""
     message = json.dumps(
         {"retry_after": float(retry_after), "detail": detail}, sort_keys=True
     )
-    return encode_error(ERR_UNAVAILABLE, message)
+    return encode_error(ERR_UNAVAILABLE, message, ref)
 
 
 def decode_unavailable(message: str) -> Tuple[float, str]:

@@ -8,7 +8,7 @@ core in a delivery loop that survives the network instead:
 * **Lease token.**  Every HELLO carries an opaque client token, opting the
   connection into the server's session leases — on disconnect the server
   *detaches* the sessions for ``lease_ttl`` seconds rather than destroying
-  them, and buffers any results that flush meanwhile.
+  them, and buffers any results that land meanwhile.
 
 * **Outbox.**  Every PUSH payload is kept, with its sequence stamp, until a
   cumulative ACK (or a resumed HELLO_OK) confirms the server applied it.
@@ -19,10 +19,15 @@ core in a delivery loop that survives the network instead:
   error, the client redials with exponential backoff and decorrelated
   jitter, re-HELLOs each station with ``resume`` + its token, learns the
   cumulative applied sequence from HELLO_OK, trims the outbox below it, and
-  replays the rest in order.  Frames the server already applied but had not
-  yet ACKed are re-sent and dropped by the server's own sequence
+  replays the rest in order.  Frames the server already admitted but had
+  not yet ACKed are re-sent and dropped by the server's own sequence
   bookkeeping — at-least-once on the wire, exactly-once in model state, so
-  an interrupted run stays bit-identical to an uninterrupted one.
+  an interrupted run stays bit-identical to an uninterrupted one.  Results
+  lost in flight with the old socket come back too: the resume names the
+  first tick the client has no result for, and the server re-sends what it
+  retained from there on.  So the server can forget the rest, every
+  ``_RECEIVED_EVERY`` results the next push or flush tells it how far each
+  station has been received (a RECEIVED frame).
 
 The delivery guarantee is summarised in ARCHITECTURE.md's guarantee table;
 the failure drills in :mod:`repro.scenarios.resilience` pin it under seeded
@@ -48,6 +53,9 @@ __all__ = [
     "AsyncResilientGatewayClient",
     "ResilientGatewayClient",
 ]
+
+#: Results received between two RECEIVED frames.
+_RECEIVED_EVERY = 256
 
 
 @dataclass(frozen=True)
@@ -139,6 +147,10 @@ class AsyncResilientGatewayClient:
         self._core: Optional[AsyncGatewayClient] = None
         self._stations: Dict[str, _Station] = {}
         self._results: Dict[str, List[TickResult]] = {}
+        #: station -> first tick index no result has arrived for yet.
+        self._results_from: Dict[str, int] = {}
+        #: ``results_received`` when the last RECEIVED frame went out.
+        self._received_sent = 0
         self._closed = False
         # Lifetime telemetry (survives reconnects).
         self.reconnects = 0
@@ -190,10 +202,16 @@ class AsyncResilientGatewayClient:
         assert self._core is not None
         return self._core
 
+    def _claim(self, gathered: Mapping[str, List[TickResult]]) -> None:
+        """Keep arrived results for the caller; note how far each station got."""
+        for station, results in gathered.items():
+            if results:
+                self._results.setdefault(station, []).extend(results)
+                self._results_from[station] = results[-1].index + 1
+
     def _harvest(self, core: AsyncGatewayClient) -> None:
         """Fold a (possibly dying) core's accumulated state into this one."""
-        for station, results in core.take_results().items():
-            self._results.setdefault(station, []).extend(results)
+        self._claim(core.take_results())
         self.results_received += core.results_received
         core.results_received = 0
         self.shed.extend(core.shed)
@@ -204,6 +222,15 @@ class AsyncResilientGatewayClient:
             if seq > self.acked.get(station, 0):
                 self.acked[station] = seq
         core.acked = {}
+
+    def _receipt(self, core: AsyncGatewayClient) -> List[Tuple[int, bytes]]:
+        """A RECEIVED frame once enough results arrived since the last one."""
+        arrived = self.results_received + core.results_received
+        if arrived - self._received_sent < _RECEIVED_EVERY:
+            return []
+        self._harvest(core)
+        self._received_sent = self.results_received
+        return [(protocol.FRAME_RECEIVED, protocol.encode_ack(self._results_from))]
 
     def _trim_outbox(self, station: str, acked_seq: int) -> None:
         state = self._stations.get(station)
@@ -267,7 +294,8 @@ class AsyncResilientGatewayClient:
         """Resume every opened station on a fresh connection, then replay."""
         for station, state in self._stations.items():
             payload = protocol.encode_hello(
-                station, "", None, 0, {}, token=self.token, resume=True
+                station, "", None, 0, {}, token=self.token, resume=True,
+                results_from=self._results_from.get(station),
             )
             reply = await core._request(
                 protocol.FRAME_HELLO, payload, protocol.FRAME_HELLO_OK
@@ -375,7 +403,7 @@ class AsyncResilientGatewayClient:
                 # A reconnect inside this retry loop already replayed the
                 # whole outbox, these frames included.
                 return
-            await core.send_frames(frames)
+            await core.send_frames(self._receipt(core) + frames)
 
         await self._with_retry(op)
 
@@ -387,11 +415,12 @@ class AsyncResilientGatewayClient:
         """
 
         async def op(core: AsyncGatewayClient) -> Dict[str, List[TickResult]]:
+            receipt = self._receipt(core)
+            if receipt:
+                await core.send_frames(receipt)
             return await core.flush()
 
-        gathered = await self._with_retry(op)
-        for station, results in gathered.items():
-            self._results.setdefault(station, []).extend(results)
+        self._claim(await self._with_retry(op))
         self._trim_all()
         return self.take_results()
 

@@ -66,12 +66,6 @@ __all__ = [
     "resilience_bench_record",
 ]
 
-#: Gateway flush interval used by the drills: long enough that the periodic
-#: flusher never races a fault injection — every backend flush is driven by
-#: an explicit client FLUSH at a chunk boundary (the consistency points).
-_DRILL_FLUSH_INTERVAL = 60.0
-
-
 @dataclass(frozen=True)
 class ResilienceEvent:
     """One injected fault of the reconnect drill.
@@ -286,11 +280,7 @@ def run_reconnect_drill(
             source=ClusterHealthSource(cluster, ping_timeout=ping_timeout),
             standbys=standbys,
         )
-        with GatewayServer(
-            cluster,
-            flush_interval=_DRILL_FLUSH_INTERVAL,
-            lease_ttl=lease_ttl,
-        ).background() as server:
+        with GatewayServer(cluster, lease_ttl=lease_ttl).background() as server:
             with ResilientGatewayClient(
                 "127.0.0.1",
                 server.port,
@@ -414,9 +404,7 @@ def run_breaker_drill(
             controller=HealthController(config),
             source=ClusterHealthSource(cluster, ping_timeout=config.ping_timeout),
         )
-        with GatewayServer(
-            cluster, flush_interval=_DRILL_FLUSH_INTERVAL
-        ).background() as server:
+        with GatewayServer(cluster).background() as server:
             with GatewayClient("127.0.0.1", server.port) as client:
                 names = [f"station-{i:02d}" for i in range(stations)]
                 for name in names:

@@ -17,7 +17,7 @@ import pytest
 from repro import ClusterCoordinator, ImputationService
 from repro.cluster.bench import flatten_results, results_identical
 from repro.durability import CheckpointStore, DurabilityConfig, DurabilityPolicy
-from repro.exceptions import ClusterError, RecoveryError
+from repro.exceptions import ClusterError, RecoveryError, RolledBackError
 
 NAN = float("nan")
 
@@ -230,6 +230,53 @@ class TestFailureModes:
             cluster.heal()
             results = cluster.push("s", {"x": NAN})
             assert results[0]["x"].value == 2.0
+
+    def test_work_published_before_the_kill_is_salvaged(self, tmp_path):
+        """What a worker applied and published stands even when nobody
+        drained its result ring before the kill: no rollback, and the
+        results are still handed out."""
+        with ClusterCoordinator(num_workers=1, durability=_config(tmp_path)) as cluster:
+            cluster.create_session("s", method="locf", series_names=["x"])
+            for value in (1.0, NAN, 3.0, NAN):
+                cluster.push_nowait("s", {"x": value})
+            cluster.emit_pending()
+            cluster.stats()  # a barrier: the worker has applied and published
+            cluster.terminate_worker(0)
+            (report,) = cluster.heal().values()
+            assert report.lost_inflight_records == 0
+            assert cluster.applied_records("s") == 4
+            assert cluster.rolled_back_records("s") == 0
+            assert [t["x"].value for t in cluster.flush()["s"]] == [1.0, 3.0]
+
+    def test_unconfirmed_records_roll_back_until_rewound(self, tmp_path):
+        """Records in flight to a worker that dies before confirming them
+        are not kept: the session is rebuilt to its confirmed tick and
+        refuses pushes until the caller rewinds and re-sends them."""
+        with ClusterCoordinator(num_workers=1, durability=_config(tmp_path)) as cluster:
+            cluster.create_session("s", method="locf", series_names=["x"])
+            for value in (1.0, 2.0):
+                cluster.push_nowait("s", {"x": value})
+            cluster.flush()
+            assert cluster.applied_records("s") == 2
+            cluster.wedge_worker(0)  # its loop stops: nothing more is applied
+            for value in (3.0, 4.0):
+                cluster.push_nowait("s", {"x": value})
+            cluster.emit_pending()
+            cluster.push_nowait("s", {"x": 5.0})  # still coordinator-side
+            cluster.terminate_worker(0)
+            (report,) = cluster.heal().values()
+            assert report.lost_inflight_records == 2
+            assert cluster.applied_records("s") == 2
+            assert cluster.rolled_back_records("s") == 3  # 2 in flight + 1 queued
+            with pytest.raises(RolledBackError) as refused:
+                cluster.push_nowait("s", {"x": 3.0})
+            assert refused.value.applied == 2
+            assert cluster.rewind("s") == 2
+            for value in (3.0, 4.0, NAN):
+                cluster.push_nowait("s", {"x": value})
+            assert [t["x"].value for t in cluster.flush()["s"]][-1] == 4.0
+            assert cluster.applied_records("s") == 5
+            assert cluster.push("s", {"x": NAN})[0]["x"].value == 4.0
 
 
 class TestFleetRecovery:

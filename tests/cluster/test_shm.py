@@ -219,6 +219,51 @@ class TestSharedRingBuffer:
             ring.close()
 
 
+#: Two counter values that differ in every byte: any mixture is a torn read.
+_WORD_A = 0x00FF00FF00FF00FF
+_WORD_B = 0xFF00FF00FF00FF00
+
+
+def _counter_flipper(name: str) -> None:
+    """Child process: rewrite the tail counter until the head reads 1."""
+    ring = SharedRingBuffer.attach(name)
+    try:
+        while True:
+            for _ in range(1000):
+                ring._store(8, _WORD_B)
+                ring._store(8, _WORD_A)
+            if ring._load(0) == 1:
+                return
+    finally:
+        ring.close()
+
+
+class TestRingCounters:
+    def test_counters_never_tear_across_processes(self):
+        """One process rewrites a counter, another reads it: every read
+        must see a whole value.  Byte-wise accessors tear within
+        milliseconds on a multi-core host; word accessors never do."""
+        ring = SharedRingBuffer.create(1 << 10)
+        ring._store(8, _WORD_A)
+        context = multiprocessing.get_context()
+        child = context.Process(target=_counter_flipper, args=(ring.name,), daemon=True)
+        child.start()
+        torn = reads = 0
+        try:
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline and not torn:
+                for _ in range(10_000):
+                    if ring._load(8) not in (_WORD_A, _WORD_B):
+                        torn += 1
+                reads += 10_000
+        finally:
+            ring._store(0, 1)
+            child.join(timeout=10.0)
+            ring.close()
+        assert child.exitcode == 0
+        assert torn == 0, f"{torn} torn counter reads in {reads}"
+
+
 # --------------------------------------------------------------------------- #
 # Codec
 # --------------------------------------------------------------------------- #

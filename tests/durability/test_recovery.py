@@ -389,3 +389,43 @@ class TestServiceRecoverConvenience:
             handle.write(b"XXXXXXXX")  # destroy the magic
         with pytest.raises(DurabilityError, match="magic"):
             RecoveryManager(_config(tmp_path)).recover_into(ImputationService())
+
+
+class TestRecoverUntil:
+    """``recover_into(..., until=...)`` rebuilds a session to an earlier tick
+    (a crash rollback) instead of the end of its journal."""
+
+    @staticmethod
+    def _journal(tmp_path, records, **policy):
+        service = ImputationService(durability=_config(tmp_path, **policy))
+        service.create_session("s", series_names=["a"], method="locf")
+        for i in range(records):
+            service.push("s", {"a": float(i)})
+        return service
+
+    def test_wal_tail_is_cut_at_the_tick(self, tmp_path):
+        self._journal(tmp_path, 10)
+        survivor = ImputationService()
+        report = RecoveryManager(_config(tmp_path)).recover_into(
+            survivor, until={"s": 6}
+        )
+        assert report.sessions[0].final_tick == 6
+        assert survivor.session("s").ticks_seen == 6
+        assert survivor.push("s", {"a": float("nan")})[0]["a"].value == 5.0
+
+    def test_an_older_checkpoint_is_used_when_the_latest_is_past_the_tick(
+        self, tmp_path
+    ):
+        self._journal(tmp_path, 10, checkpoint_every=4)
+        store = _config(tmp_path, checkpoint_every=4).make_store()
+        assert [c.tick for c in store.checkpoints("s")] == [4, 8]
+        survivor = ImputationService()
+        report = RecoveryManager(store).recover_into(survivor, until={"s": 6})
+        assert (report.sessions[0].checkpoint_tick, report.sessions[0].final_tick) == (4, 6)
+        assert survivor.push("s", {"a": float("nan")})[0]["a"].value == 5.0
+
+    def test_sessions_without_a_tick_recover_to_the_end(self, tmp_path):
+        self._journal(tmp_path, 10)
+        survivor = ImputationService()
+        RecoveryManager(_config(tmp_path)).recover_into(survivor, until={"other": 1})
+        assert survivor.session("s").ticks_seen == 10

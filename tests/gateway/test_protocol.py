@@ -213,8 +213,9 @@ class TestControlPayloads:
     def test_hello_version_mismatch_rejected(self):
         payload = protocol.encode_hello("n", "tkcm", None, 0, {})
         tampered = payload.replace(
-            b'"version": 1', b'"version": 999'
+            f'"version": {protocol.PROTOCOL_VERSION}'.encode(), b'"version": 999'
         )
+        assert tampered != payload
         with pytest.raises(ProtocolError, match="version"):
             protocol.decode_hello(tampered)
 

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from repro.cluster.bench import results_identical
+from repro.cluster.coordinator import ClusterCoordinator
+from repro.durability import DurabilityConfig, DurabilityPolicy
 from repro.exceptions import GatewayError, OverloadedError
 from repro.gateway import (
     GatewayClient,
@@ -24,6 +26,8 @@ from repro.gateway import (
     build_loadgen_workload,
 )
 from repro.gateway import protocol
+from repro.gateway import resilient as resilient_module
+from repro.gateway import server as server_module
 from repro.gateway.resilient import ReconnectPolicy
 from repro.service import ImputationService
 from tests.timing import wait_until
@@ -118,6 +122,8 @@ class TestReconnectReplay:
             client.inject_disconnect()
             client.ping()
             assert client.frames_replayed == 0
+            # The resume re-sends no result the flush already returned.
+            assert client.take_results() == {}
         stats = leased_server.stats()
         assert stats["records_in"] == len(spec.rows)
         assert results_identical(first, reference_for(spec))
@@ -238,7 +244,7 @@ class TestLeaseOwnership:
     def test_lease_expires_after_ttl(self):
         spec = one_spec()
         with ImputationService() as service:
-            server = GatewayServer(service, lease_ttl=0.1, flush_interval=0.05)
+            server = GatewayServer(service, lease_ttl=0.1)
             with server.background():
                 with resilient(server) as client:
                     client.create_session(
@@ -261,6 +267,102 @@ class TestLeaseOwnership:
                 assert server.stats()["leases_expired"] == 1
 
 
+class TestResultRetention:
+    """A token client's results are retained server-side only until the
+    client reports them received, so a client that never flushes costs
+    bounded memory — and a resume still re-sends exactly what was lost."""
+
+    @staticmethod
+    def _locf_stream(rows):
+        values = np.arange(rows, dtype=float)
+        values[1::2] = np.nan  # locf imputes every other tick
+        service = ImputationService()
+        service.create_session("s", method="locf", series_names=["v"])
+        expected = []
+        for value in values:
+            expected.extend(service.push("s", {"v": float(value)}))
+        return [{"v": float(value)} for value in values], {"s": expected}
+
+    def test_retention_stays_bounded_without_flush(self, leased_server):
+        rows, expected = self._locf_stream(3000)
+        received = {"s": []}
+        with resilient(leased_server) as client:
+            client.create_session("s", method="locf", series_names=["v"])
+            peak = 0
+            for index, row in enumerate(rows):
+                client.push("s", row)
+                if index == 1700:
+                    client.inject_disconnect()  # results in flight are lost
+                if index % 100 == 99:
+                    received["s"].extend(client.take_results().get("s", []))
+                    peak = max(peak, leased_server.stats()["results_retained"])
+            assert leased_server.stats()["flushes"] == 0
+
+            def drained() -> bool:
+                client.ping()  # runs the client loop: arrived results are read
+                received["s"].extend(client.take_results().get("s", []))
+                return len(received["s"]) >= len(expected["s"])
+
+            wait_until(drained, timeout=30.0, message="a streamed result never arrived")
+            assert client.reconnects == 1
+        # 1500 results streamed; at most a RECEIVED interval (256) plus the
+        # results still in flight were ever held for the client.
+        assert 0 < peak <= 2 * resilient_module._RECEIVED_EVERY
+        assert results_identical(received, expected)
+
+    def test_silent_token_client_is_capped(self, leased_server, monkeypatch):
+        """A token client that never reports receipt keeps the newest
+        _RETAIN_LIMIT results per station, not all of them."""
+        monkeypatch.setattr(server_module, "_RETAIN_LIMIT", 8)
+        monkeypatch.setattr(resilient_module, "_RECEIVED_EVERY", 10**9)
+        rows, expected = self._locf_stream(100)
+        with resilient(leased_server) as client:
+            client.create_session("s", method="locf", series_names=["v"])
+            for row in rows:
+                client.push("s", row)
+            assert results_identical(client.flush(), expected)
+            assert leased_server.stats()["results_retained"] == 8
+
+
+class TestCrashRollback:
+    def test_pushes_in_flight_to_a_killed_worker_are_replayed_once(self, tmp_path):
+        """A worker killed with pushes in flight confirmed none of them, so
+        no ACK covers them; the rolled-back session fences the connection,
+        the resume restarts the stream after the confirmed records, and the
+        client's replay completes a bit-identical run."""
+        rows, expected = TestResultRetention._locf_stream(60)
+        durability = DurabilityConfig(
+            tmp_path, policy=DurabilityPolicy(checkpoint_every=1_000_000)
+        )
+        gathered = {"s": []}
+        with ClusterCoordinator(num_workers=1, durability=durability) as cluster:
+            server = GatewayServer(cluster, lease_ttl=30.0)
+            with server.background(), resilient(server) as client:
+                client.create_session("s", method="locf", series_names=["v"])
+                for row in rows[:20]:
+                    client.push("s", row)
+                gathered["s"] += client.flush()["s"]
+                cluster.wedge_worker(0)
+                for row in rows[20:40]:
+                    client.push("s", row)
+                client.ping()  # the gateway admitted all 20 ...
+                wait_until(lambda: cluster._inflight[0] == 20,
+                           message="the pushes never reached the worker")
+                cluster.terminate_worker(0)
+                (report,) = cluster.heal().values()
+                assert report.lost_inflight_records == 20
+                client.ping()
+                gathered["s"] += client.take_results().get("s", [])
+                assert client._core.acked["s"] == 20  # ... but confirmed none
+                assert client.outbox_frames == 20
+                for row in rows[40:]:
+                    client.push("s", row)
+                gathered["s"] += client.flush()["s"]
+                assert client.reconnects >= 1
+                assert client.frames_replayed >= 20
+        assert results_identical(gathered, expected)
+
+
 class TestShedInteraction:
     def test_shed_consumes_its_sequence_slot(self):
         """Regression: a shed push is a refusal, not a transport failure —
@@ -269,8 +371,7 @@ class TestShedInteraction:
         spec = one_spec(records=16)
         with ImputationService() as service:
             server = GatewayServer(
-                service, pause_watermark=4, shed_watermark=4,
-                flush_interval=60.0, lease_ttl=30.0,
+                service, pause_watermark=4, shed_watermark=4, lease_ttl=30.0,
             )
             with server.background():
                 with resilient(server) as client:

@@ -132,3 +132,23 @@ class TestDocumentationFiles:
         text = (self.REPO_ROOT / "DESIGN.md").read_text()
         for token in ("fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17"):
             assert token in text
+
+
+class TestImportCost:
+    def test_import_repro_loads_neither_scipy_nor_networkx(self):
+        """Both are optional, heavy, and needed by one baseline and one
+        dataset each: ``import repro`` (every server and worker start)
+        must not pay for them."""
+        import os
+        import subprocess
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        probe = (
+            "import sys, repro, repro.cluster.coordinator, repro.gateway.server\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'networkx'}))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True,
+        )
+        assert done.stdout.strip() == "[]"
