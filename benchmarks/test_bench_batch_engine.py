@@ -1,12 +1,20 @@
-"""Micro-benchmark: batch execution path vs the per-tick replay loop.
+"""Micro-benchmark: the TKCM imputer in blocks and one row at a time vs the tick loop.
 
 Workload: the Fig. 17 runtime setting (SBR-1d-like data, the benchmark-scale
 TKCM configuration L = 10 days, l = 36, d = 3, k = 5) with a multi-day missing
 block in the target series — the continuous-imputation scenario the paper's
-runtime analysis (Sec. 7.4) times.  The same stream is replayed once through
-``StreamingImputationEngine.run`` (one Python dict per tick) and once through
-``run_batch`` (whole NumPy blocks + TKCM's incremental window/dissimilarity
-maintenance); both runs must produce bit-identical imputations.
+runtime analysis (Sec. 7.4) times.  The same stream is replayed three times:
+
+* *tick* — the original tick-at-a-time algorithm
+  (:class:`tests.tkcm_oracle.TickTKCMImputer`, the test suite's parity
+  oracle) through ``StreamingImputationEngine.run``: per-series ring
+  buffers, every window re-extracted per imputation;
+* *batch* — :class:`~repro.core.tkcm.TKCMImputer` through ``run_batch``
+  (one-day blocks);
+* *one row* — the same imputer through ``run``, one ``observe`` (a one-row
+  block) per tick, as the serving path calls it.
+
+All three must produce bit-identical imputations.
 
 The measured times and the speedup are written to
 ``BENCH_batch_engine.json`` at the repository root (and mirrored into
@@ -26,6 +34,7 @@ from repro.config import SAMPLES_PER_DAY_5MIN
 from repro.datasets import generate_sbr_shifted
 from repro.evaluation.report import format_table
 from repro.streams import MultiSeriesStream, StreamingImputationEngine
+from tests.tkcm_oracle import TickTKCMImputer
 
 from .conftest import RESULTS_DIR, emit
 
@@ -37,9 +46,9 @@ BLOCK_DAYS = 3
 NUM_SERIES = 4
 BATCH_SIZE = SAMPLES_PER_DAY_5MIN  # one day of 5-minute samples per block
 
-#: The tentpole target: the batch path must be at least this much faster on
-#: this machine class; the test itself asserts a softer floor so CI noise on
-#: shared runners cannot produce flaky failures.
+#: Batch vs the tick loop: the target on the reference machine class; the
+#: test itself asserts a softer floor so CI noise on shared runners cannot
+#: produce flaky failures.
 TARGET_SPEEDUP = 5.0
 ASSERTED_SPEEDUP = 2.5
 
@@ -61,8 +70,8 @@ def _workload():
     values[target][block_start: block_start + block_length] = np.nan
     stream = MultiSeriesStream(values, sample_period_minutes=5.0)
 
-    def imputer():
-        return TKCMImputer(
+    def imputer(cls=TKCMImputer):
+        return cls(
             config,
             series_names=dataset.names,
             reference_rankings={target: dataset.names[1:]},
@@ -85,27 +94,29 @@ def test_bench_batch_engine(run_once):
         stream, batch_size=BATCH_SIZE, prime_until=block_start
     )
 
-    tick_engine = StreamingImputationEngine(imputer())
-    tick_result = None
+    runs = {}
 
-    def tick_run():
-        nonlocal tick_result
-        tick_result = tick_engine.run(stream, prime_until=block_start)
+    def timed(name, runner, timer=_time_run):
+        def run():
+            runs[name] = runner()
+        return timer(run)
 
-    tick_seconds = run_once(_time_run, tick_run)
+    # The benchmark fixture times one call per test: the tick loop's.
+    tick_seconds = timed("tick", lambda: StreamingImputationEngine(
+        imputer(TickTKCMImputer)).run(stream, prime_until=block_start),
+        timer=lambda run: run_once(_time_run, run))
+    batch_seconds = timed("batch", lambda: StreamingImputationEngine(
+        imputer()).run_batch(stream, batch_size=BATCH_SIZE, prime_until=block_start))
+    one_row_seconds = timed("one_row", lambda: StreamingImputationEngine(
+        imputer()).run(stream, prime_until=block_start))
 
-    batch_engine = StreamingImputationEngine(imputer())
-    started = time.perf_counter()
-    batch_result = batch_engine.run_batch(
-        stream, batch_size=BATCH_SIZE, prime_until=block_start
-    )
-    batch_seconds = time.perf_counter() - started
-
-    assert tick_result is not None
-    assert batch_result.imputed == tick_result.imputed, (
+    assert runs["batch"].imputed == runs["tick"].imputed, (
         "batch path must reproduce the tick loop's imputations exactly"
     )
-    assert batch_result.imputed_count() == block_length
+    assert runs["one_row"].imputed == runs["tick"].imputed, (
+        "one-row calls must reproduce the tick loop's imputations exactly"
+    )
+    assert runs["batch"].imputed_count() == block_length
 
     speedup = tick_seconds / batch_seconds
     record = {
@@ -120,8 +131,10 @@ def test_bench_batch_engine(run_once):
         "batch_size": BATCH_SIZE,
         "tick_seconds": tick_seconds,
         "batch_seconds": batch_seconds,
+        "one_row_seconds": one_row_seconds,
         "tick_seconds_per_imputation": tick_seconds / block_length,
         "batch_seconds_per_imputation": batch_seconds / block_length,
+        "one_row_seconds_per_imputation": one_row_seconds / block_length,
         "speedup": speedup,
         "target_speedup": TARGET_SPEEDUP,
     }
@@ -131,7 +144,7 @@ def test_bench_batch_engine(run_once):
     (RESULTS_DIR / "BENCH_batch_engine.json").write_text(payload)
 
     emit(
-        "BENCH batch engine — tick loop vs run_batch",
+        "BENCH batch engine — tick loop vs run_batch vs one-row run",
         format_table(
             [
                 {
@@ -143,6 +156,11 @@ def test_bench_batch_engine(run_once):
                     "path": "batch",
                     "seconds": batch_seconds,
                     "us_per_imputation": 1e6 * batch_seconds / block_length,
+                },
+                {
+                    "path": "one_row",
+                    "seconds": one_row_seconds,
+                    "us_per_imputation": 1e6 * one_row_seconds / block_length,
                 },
                 {"path": "speedup", "seconds": speedup, "us_per_imputation": float("nan")},
             ]

@@ -98,7 +98,7 @@ from ..results import TickResult
 from ..service.session import Tick
 from .router import MovePlan, ShardRouter
 from .telemetry import aggregate_stats
-from .worker import ClusterWorker, coordinator_end
+from .worker import ClusterWorker, close_in_child
 
 __all__ = ["ClusterCoordinator"]
 
@@ -187,7 +187,7 @@ class ClusterCoordinator:
             reader, writer = self._context.Pipe(duplex=False)
             for end in (reader, writer):
                 os.set_blocking(end.fileno(), False)
-            self._signal_reader = coordinator_end(reader)
+            self._signal_reader = close_in_child(reader)
             self._signal_writer = writer
         #: Per-worker adaptive micro-batch target (shm transport only).
         self._linger_target: Dict[int, int] = {}

@@ -81,7 +81,7 @@ from .shm import (
 )
 from .telemetry import WorkerTelemetry
 
-__all__ = ["ClusterWorker", "coordinator_end"]
+__all__ = ["ClusterWorker", "InheritedSocket", "close_in_child"]
 
 #: Default seconds a coordinator waits for one RPC reply before declaring the
 #: worker dead.  Generous: a worker may legitimately spend a while imputing a
@@ -111,22 +111,52 @@ _OUTBOX_RETRY = 0.0005
 #: Payload of an applied marker: the u64 data-plane position.
 _POSITION = struct.Struct("<Q")
 
-#: Every coordinator-side pipe end alive in this process.  A worker forked
-#: from it inherits all of them and closes them first thing (see
+#: Everything alive in this process that a forked worker must not keep.  A
+#: worker inherits all of it and closes it first thing (see
 #: :func:`_worker_main`); under ``spawn`` the set starts empty in the child.
-_COORDINATOR_ENDS: "weakref.WeakSet" = weakref.WeakSet()
+_CLOSE_IN_CHILD: "weakref.WeakSet" = weakref.WeakSet()
 
 
-def coordinator_end(conn):
-    """Register ``conn`` as a coordinator-side pipe end; returns it.
+def close_in_child(resource):
+    """Register ``resource`` to be closed in every worker forked from here; returns it.
 
-    Forked workers close every registered end on start-up.  A worker holding
-    one would keep that pipe open after the coordinator dies, and a pipe
-    with a live writer never reports EOF — the worker would outlive its
-    coordinator.
+    ``resource`` is anything with ``close()``.  The set holds it weakly: it
+    leaves the set once this process drops it.
+    What goes in: coordinator-side pipe ends (a worker holding one would
+    keep that pipe open after the coordinator dies, and a pipe with a live
+    writer never reports EOF — the worker would outlive its coordinator),
+    and a gateway's listening and client sockets (see
+    :class:`InheritedSocket`).
     """
-    _COORDINATOR_ENDS.add(conn)
-    return conn
+    _CLOSE_IN_CHILD.add(resource)
+    return resource
+
+
+class InheritedSocket:
+    """Registry entry for a socket a forked worker must release.
+
+    Holding a copy, the worker would keep the connection open after the
+    gateway closes it (its client never sees EOF) and a stopped gateway's
+    port bound.  The worker cannot close the copy through the socket
+    object, which asyncio does not expose, and closing the bare descriptor
+    would let a later collection of that object close whatever reuses the
+    number; so ``close()`` points the descriptor at ``/dev/null`` instead.
+    Keep the entry alive as long as the socket.
+    """
+
+    def __init__(self, sock) -> None:
+        self._sock = sock
+
+    def close(self) -> None:
+        """Release this process's copy of the socket (see the class docstring)."""
+        descriptor = self._sock.fileno()
+        if descriptor < 0:
+            return  # closed before the fork
+        null = os.open(os.devnull, os.O_RDWR)
+        try:
+            os.dup2(null, descriptor)
+        finally:
+            os.close(null)
 
 
 # --------------------------------------------------------------------------- #
@@ -178,8 +208,8 @@ def _execute_pending(service, telemetry, pending, buffered, deferred) -> None:
 
 def _worker_main(worker_id: int, conn, durability=None, shm_names=None, signal=None) -> None:  # pragma: no cover - child process
     """Entry point of the worker child process (covered via subprocesses)."""
-    for end in list(_COORDINATOR_ENDS):
-        end.close()  # inherited through fork; see coordinator_end()
+    for resource in list(_CLOSE_IN_CHILD):
+        resource.close()  # inherited through fork; see close_in_child()
     service = ImputationService(durability=durability)
     telemetry = WorkerTelemetry(worker_id=worker_id)
     buffered: Dict[str, List[TickResult]] = {}
@@ -504,7 +534,7 @@ class ClusterWorker:
         self._pipe_data_bytes = 0
         self._push_ring_stalls = 0
         parent_conn, child_conn = context.Pipe(duplex=True)
-        self._conn = coordinator_end(parent_conn)
+        self._conn = close_in_child(parent_conn)
         self._process = context.Process(
             target=_worker_main,
             args=(

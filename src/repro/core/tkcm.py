@@ -1,6 +1,6 @@
 """The Top-k Case Matching (TKCM) streaming imputer (paper Sec. 4 and 6).
 
-:class:`TKCMImputer` keeps one ring buffer of length ``L`` per time series and
+:class:`TKCMImputer` keeps the last ``L`` values of every time series and
 imputes the current value of an incomplete series in three steps:
 
 1. *Pattern extraction* — compute the dissimilarity of every candidate
@@ -14,19 +14,20 @@ imputes the current value of an incomplete series in three steps:
 Missing values are represented as ``NaN``.  The imputer follows the streaming
 protocol of :class:`repro.baselines.base.OnlineImputer`: call
 :meth:`TKCMImputer.observe` once per tick with the new measurement of every
-series; the returned mapping contains an :class:`ImputationResult` for every
-series whose value was missing at that tick.  Imputed values are written back
-into the window so subsequent imputations can use them, exactly as in the
-paper (e.g. the imputed ``r2(13:40)`` of Table 2).
+series, or :meth:`TKCMImputer.observe_batch` with a block of ticks; the two
+run the same code, so any block partition of a stream gives the same
+imputations.  Imputed values are written back into the window so subsequent
+imputations can use them, exactly as in the paper (e.g. the imputed
+``r2(13:40)`` of Table 2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..config import TKCMConfig
 from ..exceptions import (
@@ -35,11 +36,10 @@ from ..exceptions import (
     InsufficientDataError,
     MissingReferenceError,
 )
+from . import anchor_selection
 from .anchor_selection import AnchorSelection, select_anchors
-from .consistency import epsilon_of_anchors
 from .dissimilarity import candidate_dissimilarities
 from .reference import ReferenceRanking, rank_candidates, select_reference_series
-from .ring_buffer import RingBuffer
 
 __all__ = ["TKCMImputer", "ImputationResult"]
 
@@ -133,17 +133,26 @@ class TKCMImputer:
             )
         self._fallback = fallback
         self._ranking_method = ranking_method
-        self._buffers: Dict[str, RingBuffer] = {}
+        self._windows = _BatchWindows(self.config)
         self._rankings: Dict[str, List[str]] = {}
         self._tick = 0
         #: Per-target (tick, window size, candidate indices) of the latest
         #: anchor selection — the carried-over DP pruning bound.
         self._anchor_hint_state: Dict[str, tuple] = {}
 
-        for name in series_names or []:
-            self.register_series(name)
+        self._windows.register(series_names or [])
         for target, candidates in (reference_rankings or {}).items():
             self.set_reference_ranking(target, candidates)
+
+    def __setstate__(self, state: dict) -> None:
+        # Checkpoints written before the window store existed hold one
+        # ``RingBuffer`` per series; rebuild the store from their contents.
+        buffers = state.pop("_buffers", None)
+        self.__dict__.update(state)
+        if buffers is not None:
+            self._windows = _BatchWindows.from_buffers(self.config, buffers)
+            # Checkpoints older than the anchor hints lack their state.
+            self.__dict__.setdefault("_anchor_hint_state", {})
 
     # ------------------------------------------------------------------ #
     # Stream management
@@ -151,7 +160,7 @@ class TKCMImputer:
     @property
     def series_names(self) -> List[str]:
         """Names of all registered streams, in registration order."""
-        return list(self._buffers)
+        return list(self._windows.names)
 
     @property
     def current_tick(self) -> int:
@@ -159,9 +168,8 @@ class TKCMImputer:
         return self._tick
 
     def register_series(self, name: str) -> None:
-        """Add a stream; its ring buffer starts empty."""
-        if name not in self._buffers:
-            self._buffers[name] = RingBuffer(self.config.window_length)
+        """Add a stream; its window starts empty."""
+        self._windows.register([name])
 
     def set_reference_ranking(self, target: str, candidates: Sequence[str]) -> None:
         """Set the expert-provided candidate reference ordering for ``target``."""
@@ -170,27 +178,27 @@ class TKCMImputer:
             raise ConfigurationError(
                 f"series {target!r} cannot be its own reference candidate"
             )
-        self.register_series(target)
-        for candidate in candidates:
-            self.register_series(candidate)
+        self._windows.register([target, *candidates])
         self._rankings[target] = candidates
 
     def window(self, name: str) -> np.ndarray:
         """Current window contents of ``name`` in chronological order."""
-        if name not in self._buffers:
+        windows = self._windows
+        if name not in windows.index:
             raise ConfigurationError(f"unknown series {name!r}")
-        return self._buffers[name].view()
+        return windows.window(windows.index[name], windows.end - 1).copy()
 
     def reset(self) -> None:
         """Forget all observed data, keeping the registered series and rankings.
 
-        Empties every ring buffer and rewinds the tick counter so the imputer
+        Empties every window and rewinds the tick counter so the imputer
         can be reused for a fresh stream (the :class:`repro.service` session
         API relies on this).  Reference rankings — expert-provided or already
         auto-computed — are treated as configuration and survive the reset.
         """
-        for name in self._buffers:
-            self._buffers[name] = RingBuffer(self.config.window_length)
+        names = self._windows.names
+        self._windows = _BatchWindows(self.config)
+        self._windows.register(names)
         self._tick = 0
         self._anchor_hint_state = {}
 
@@ -205,17 +213,22 @@ class TKCMImputer:
             raise ConfigurationError(
                 f"all primed histories must have the same length, got lengths {sorted(lengths)}"
             )
-        for name, values in history.items():
-            self.register_series(name)
-            self._buffers[name].extend(np.asarray(values, dtype=float))
+        self._windows.register(history)
         if lengths:
-            self._tick += lengths.pop()
+            length = lengths.pop()
+            self._windows.prime(
+                {name: np.asarray(values, dtype=float) for name, values in history.items()},
+                length,
+            )
+            self._tick += length
 
     # ------------------------------------------------------------------ #
     # Streaming protocol
     # ------------------------------------------------------------------ #
     def observe(self, values: Mapping[str, float]) -> Dict[str, ImputationResult]:
         """Advance the stream by one tick and impute every missing value.
+
+        A one-row :meth:`observe_batch`.
 
         Parameters
         ----------
@@ -231,49 +244,22 @@ class TKCMImputer:
             at this tick.  The imputed value is also written into the
             internal window.
         """
-        for name in values:
-            self.register_series(name)
-
-        missing: List[str] = []
-        for name, buffer in self._buffers.items():
-            value = float(values.get(name, np.nan))
-            buffer.append(value)
-            if np.isnan(value):
-                missing.append(name)
-        self._tick += 1
-
-        results: Dict[str, ImputationResult] = {}
-        for name in missing:
-            result = self._impute_latest(name)
-            if not np.isnan(result.value):
-                self._buffers[name].replace_latest(result.value)
-            results[name] = result
-        return results
+        names = list(values)
+        row = np.array([[float(values[name]) for name in names]])
+        return self.observe_batch(row, names).get(0, {})
 
     def observe_batch(
         self, block: np.ndarray, names: Sequence[str]
     ) -> Dict[int, Dict[str, ImputationResult]]:
         """Advance the stream by a whole block of ticks at once.
 
-        This is the vectorised counterpart of calling :meth:`observe` once per
-        row of ``block``: the final window contents, tick counter, and the
-        imputed values are the same, but the per-tick work is restructured so
-        a block costs far less than ``len(block)`` individual ticks:
-
-        * Window maintenance is *incremental*: every series' window is
-          mirrored into one contiguous array covering the history plus the
-          whole block, so advancing a tick writes a single cell instead of
-          re-materialising ring-buffer copies, and the ring buffers themselves
-          are updated once per block with a vectorised bulk append.
-        * For the L2 metric, the candidate pattern matrix
-          (:func:`numpy.lib.stride_tricks.sliding_window_view` over the
-          contiguous mirror) is built once per block and reused across ticks —
-          only the newly arrived columns change.  The per-tick dissimilarity
-          vector is then assembled from rolling squared norms and a
-          cross-correlation term computed for all ticks of the block in a
-          single matrix product, instead of re-extracting and re-ranking every
-          candidate from scratch at every tick
-          (see :class:`_BatchWindows`).
+        The rows are appended to the persistent window store
+        (:class:`_BatchWindows`) and every missing value is imputed in stream
+        order — row by row, and within a row in series registration order —
+        with each imputed value written back before the next one is computed.
+        Nothing is rebuilt per call: only the cross terms of the L2
+        dissimilarity are, as one matrix product per reference set covering
+        every row of the block.
 
         Parameters
         ----------
@@ -296,37 +282,29 @@ class TKCMImputer:
             raise ConfigurationError(
                 f"block must be 2-D with {len(names)} columns, got shape {block.shape}"
             )
-        for name in names:
-            self.register_series(name)
+        windows = self._windows
+        windows.register(names)
         num_ticks = block.shape[0]
         if num_ticks == 0:
             return {}
 
-        # Expand the block to cover every registered series, in registration
-        # order (the order observe() walks the buffers in).
-        all_names = self.series_names
-        column = {str(name): i for i, name in enumerate(names)}
-        filled = np.full((num_ticks, len(all_names)), np.nan)
-        for j, name in enumerate(all_names):
-            if name in column:
-                filled[:, j] = block[:, column[name]]
-        missing = np.isnan(filled)
-        missing_offsets = np.flatnonzero(missing.any(axis=1))
-
-        cache = _BatchWindows(self, filled, all_names, missing_offsets)
-        results: Dict[int, Dict[str, ImputationResult]] = {}
-        for offset in missing_offsets:
-            offset = int(offset)
-            per_tick: Dict[str, ImputationResult] = {}
-            for j in np.flatnonzero(missing[offset]):
-                name = all_names[int(j)]
-                result = self._impute_in_batch(name, offset, cache)
-                if not np.isnan(result.value):
-                    cache.write_back(name, offset, result.value)
-                per_tick[name] = result
-            results[offset] = per_tick
-        cache.flush()
+        base = windows.append(block, names)
+        tick = self._tick
         self._tick += num_ticks
+        missing = np.isnan(windows.values[:, base: base + num_ticks])
+        results: Dict[int, Dict[str, ImputationResult]] = {}
+        if not missing.any():
+            return results
+        # (row, series) pairs in stream order: by row, then registration.
+        offsets, series = (index.tolist() for index in missing.T.nonzero())
+        windows.begin([base + offset for offset in dict.fromkeys(offsets)])
+        try:
+            for offset, j in zip(offsets, series):
+                results.setdefault(offset, {})[windows.names[j]] = self._impute(
+                    j, base + offset, tick + offset + 1
+                )
+        finally:
+            windows.finish()
         return results
 
     def impute(self, target: str) -> ImputationResult:
@@ -334,55 +312,49 @@ class TKCMImputer:
 
         Unlike :meth:`observe` this does not advance the stream; it assumes
         the latest appended value of ``target`` is the missing one and leaves
-        the buffers untouched apart from writing back the imputed value.
+        the windows untouched apart from writing back the imputed value.
         """
-        if target not in self._buffers:
+        windows = self._windows
+        if target not in windows.index:
             raise ConfigurationError(f"unknown series {target!r}")
-        result = self._impute_latest(target)
-        if not np.isnan(result.value):
-            self._buffers[target].replace_latest(result.value)
-        return result
+        col = windows.end - 1
+        windows.begin([col])
+        try:
+            return self._impute(windows.index[target], col, self._tick)
+        finally:
+            windows.finish()
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _impute_latest(self, target: str) -> ImputationResult:
+    def _impute(self, series: int, col: int, abs_tick: int) -> ImputationResult:
+        """Impute ``series`` at store column ``col`` and write the value back."""
+        windows = self._windows
         try:
-            return self._impute_with_tkcm(target)
+            result = self._tkcm(series, col, abs_tick)
         except (InsufficientDataError, MissingReferenceError, ImputationError):
-            return self._fallback_result(target, self._buffers[target].view())
+            result = self._fallback_result(
+                windows.names[series], windows.window(series, col)
+            )
+        if not math.isnan(result.value):
+            windows.values[series, col] = result.value
+        return result
 
-    def _impute_in_batch(
-        self, target: str, offset: int, cache: "_BatchWindows"
-    ) -> ImputationResult:
-        """Batch-path twin of :meth:`_impute_latest`, reading windows from ``cache``."""
-        try:
-            return self._impute_with_tkcm_batch(target, offset, cache)
-        except (InsufficientDataError, MissingReferenceError, ImputationError):
-            return self._fallback_result(target, cache.window(target, offset))
-
-    def _impute_with_tkcm_batch(
-        self, target: str, offset: int, cache: "_BatchWindows"
-    ) -> ImputationResult:
-        """Batch-path twin of :meth:`_impute_with_tkcm`.
-
-        Same three phases as the tick path — reference selection, candidate
-        dissimilarities, anchor selection — but windows come from the
-        contiguous block mirror and, where valid, the dissimilarity vector is
-        assembled from the cache's precomputed rolling norms and cross terms.
-        """
+    def _tkcm(self, series: int, col: int, abs_tick: int) -> ImputationResult:
+        """The three TKCM phases for the query ending at store column ``col``."""
         cfg = self.config
-        target_window = cache.window(target, offset)
-        window_size = len(target_window)
-        if window_size < cfg.min_window_length(cfg.pattern_length, cfg.num_anchors):
+        windows = self._windows
+        target = windows.names[series]
+        window_size = windows.size(series, col)
+        minimum = cfg.min_window_length(cfg.pattern_length, cfg.num_anchors)
+        if window_size < minimum:
             raise InsufficientDataError(
-                f"window holds {window_size} values but at least "
-                f"{cfg.min_window_length(cfg.pattern_length, cfg.num_anchors)} are required"
+                f"window holds {window_size} values but at least {minimum} are required"
             )
 
-        references = self._references_in_batch(target, window_size, offset, cache)
-        dissimilarities = cache.dissimilarities(references, offset, window_size)
-        if not np.any(np.isfinite(dissimilarities)):
+        references = self._references(target, window_size, col)
+        dissimilarities = windows.dissimilarities(references, col, window_size)
+        if not np.minimum.reduce(dissimilarities) < np.inf:
             raise ImputationError(
                 "no candidate pattern without missing values exists in the window"
             )
@@ -393,39 +365,37 @@ class TKCMImputer:
             cfg.pattern_length,
             strategy=cfg.selection,
             allow_overlap=cfg.allow_overlap,
-            bound_hint=self._anchor_bound_hint(
-                target, self._tick + offset + 1, dissimilarities
-            ),
+            bound_hint=self._anchor_bound_hint(target, abs_tick, dissimilarities),
         )
-        self._remember_selection(
-            target, self._tick + offset + 1, len(target_window), selection
+        self._remember_selection(target, abs_tick, window_size, selection)
+        return self._result_from_selection(
+            target, windows.window(series, col), references, selection
         )
-        return self._result_from_selection(target, target_window, references, selection)
 
-    def _references_in_batch(
-        self, target: str, window_size: int, offset: int, cache: "_BatchWindows"
-    ) -> List[str]:
-        """Batch-path twin of :meth:`_current_references`."""
+    def _references(self, target: str, window_size: int, col: int) -> List[str]:
+        """``R_s``: the first ``d`` ranked candidates with a value at ``col`` (Sec. 3)."""
         ranking = self._rankings.get(target)
         if ranking is None:
-            ranking = self._auto_rank_in_batch(target, window_size, offset, cache)
+            ranking = self._rank(target, window_size, col)
+        windows = self._windows
+        index = windows.index
+        latest = windows.values[:, col].tolist()
         availability = {
-            name: cache.size_at(name, offset) >= window_size
-            and not np.isnan(cache.latest(name, offset))
+            name: windows.size(index[name], col) >= window_size
+            and not math.isnan(latest[index[name]])
             for name in ranking
-            if name in self._buffers
+            if name in index
         }
         return select_reference_series(ranking, availability, self.config.num_references)
 
-    def _auto_rank_in_batch(
-        self, target: str, window_size: int, offset: int, cache: "_BatchWindows"
-    ) -> List[str]:
-        """Batch-path twin of :meth:`_auto_rank`."""
-        history = {}
-        for name in self._buffers:
-            if cache.size_at(name, offset) >= window_size:
-                window = cache.window(name, offset)
-                history[name] = window[len(window) - window_size:]
+    def _rank(self, target: str, window_size: int, col: int) -> List[str]:
+        """Rank every series with a full-length window as ``target``'s candidates."""
+        windows = self._windows
+        history = {
+            name: windows.window(j, col)[-window_size:]
+            for j, name in enumerate(windows.names)
+            if windows.size(j, col) >= window_size
+        }
         if target not in history:
             raise MissingReferenceError(
                 f"series {target!r} has no ranking and not enough history for automatic ranking"
@@ -435,38 +405,6 @@ class TKCMImputer:
         )
         self._rankings[target] = list(ranking.candidates)
         return self._rankings[target]
-
-    def _impute_with_tkcm(self, target: str) -> ImputationResult:
-        cfg = self.config
-        target_window = self._buffers[target].view()
-        window_size = len(target_window)
-        if window_size < cfg.min_window_length(cfg.pattern_length, cfg.num_anchors):
-            raise InsufficientDataError(
-                f"window holds {window_size} values but at least "
-                f"{cfg.min_window_length(cfg.pattern_length, cfg.num_anchors)} are required"
-            )
-
-        references = self._current_references(target, window_size)
-        reference_windows = np.vstack(
-            [self._buffers[name].latest(window_size) for name in references]
-        )
-
-        dissimilarities = self._candidate_dissimilarities(reference_windows)
-        if not np.any(np.isfinite(dissimilarities)):
-            raise ImputationError(
-                "no candidate pattern without missing values exists in the window"
-            )
-
-        selection = select_anchors(
-            dissimilarities,
-            cfg.num_anchors,
-            cfg.pattern_length,
-            strategy=cfg.selection,
-            allow_overlap=cfg.allow_overlap,
-            bound_hint=self._anchor_bound_hint(target, self._tick, dissimilarities),
-        )
-        self._remember_selection(target, self._tick, window_size, selection)
-        return self._result_from_selection(target, target_window, references, selection)
 
     # ------------------------------------------------------------------ #
     # Anchor-selection pruning-bound reuse
@@ -489,10 +427,11 @@ class TKCMImputer:
             not self._use_anchor_hints
             or cfg.selection != "dp"
             or cfg.allow_overlap
+            # Too few candidates for the DP to prune: it ignores the bound.
+            or len(dissimilarities) < anchor_selection._PRUNE_THRESHOLD
         ):
             return None
-        state = getattr(self, "_anchor_hint_state", None)
-        previous = state.get(target) if state else None
+        previous = self._anchor_hint_state.get(target)
         if previous is None:
             return None
         prev_tick, prev_window_size, prev_candidates = previous
@@ -501,7 +440,7 @@ class TKCMImputer:
         # A full window slides one position per tick (candidate j becomes
         # j - 1); a still-growing window keeps old indices in place.
         shift = 1 if prev_window_size >= cfg.window_length else 0
-        shifted = prev_candidates - shift
+        shifted = np.asarray(prev_candidates) - shift
         if shifted[0] < 0 or shifted[-1] >= len(dissimilarities):
             return None
         total = float(dissimilarities[shifted].sum())
@@ -511,72 +450,9 @@ class TKCMImputer:
         self, target: str, abs_tick: int, window_size: int, selection: AnchorSelection
     ) -> None:
         """Record a successful selection for the next tick's bound hint."""
-        state = getattr(self, "_anchor_hint_state", None)
-        if state is None:
-            state = self._anchor_hint_state = {}
-        state[target] = (
-            abs_tick,
-            window_size,
-            np.asarray(selection.candidate_indices, dtype=int),
+        self._anchor_hint_state[target] = (
+            abs_tick, window_size, selection.candidate_indices
         )
-
-    def _current_references(self, target: str, window_size: int) -> List[str]:
-        ranking = self._rankings.get(target)
-        if ranking is None:
-            ranking = self._auto_rank(target, window_size)
-        availability = {
-            name: self._buffers[name].size >= window_size
-            and not np.isnan(self._buffers[name].latest_value())
-            for name in ranking
-            if name in self._buffers
-        }
-        return select_reference_series(ranking, availability, self.config.num_references)
-
-    def _auto_rank(self, target: str, window_size: int) -> List[str]:
-        history = {
-            name: buffer.latest(min(window_size, buffer.size))
-            for name, buffer in self._buffers.items()
-            if buffer.size >= window_size
-        }
-        if target not in history:
-            raise MissingReferenceError(
-                f"series {target!r} has no ranking and not enough history for automatic ranking"
-            )
-        ranking: ReferenceRanking = rank_candidates(
-            target, history, method=self._ranking_method
-        )
-        self._rankings[target] = list(ranking.candidates)
-        return self._rankings[target]
-
-    def _candidate_dissimilarities(self, reference_windows: np.ndarray) -> np.ndarray:
-        """Dissimilarity vector D, with NaN-containing candidates excluded.
-
-        Cells where the *query pattern* itself is NaN are ignored (treated as
-        zero contribution); candidate patterns containing NaN in any remaining
-        cell receive an infinite dissimilarity so they cannot be selected.
-        """
-        cfg = self.config
-        windows = np.array(reference_windows, dtype=float)
-        l = cfg.pattern_length
-        query = windows[:, -l:]
-        query_nan = np.isnan(query)
-        if query_nan.any():
-            # Neutralise NaN query cells in every comparison.
-            windows = windows.copy()
-            query = np.where(query_nan, 0.0, query)
-            windows[:, -l:] = query
-        candidate_nan = np.isnan(windows)
-        filled = np.where(candidate_nan, 0.0, windows)
-        dissimilarities = candidate_dissimilarities(filled, l, metric=cfg.dissimilarity)
-
-        if candidate_nan.any():
-            # Mark candidates whose pattern touches a NaN cell as unusable.
-            nan_any = candidate_nan.any(axis=0).astype(float)
-            counts = np.convolve(nan_any, np.ones(l), mode="valid")
-            num_candidates = len(dissimilarities)
-            dissimilarities = dissimilarities.copy()
-            dissimilarities[counts[:num_candidates] > 0] = np.inf
-        return dissimilarities
 
     def _result_from_selection(
         self,
@@ -585,22 +461,23 @@ class TKCMImputer:
         references: Sequence[str],
         selection: AnchorSelection,
     ) -> ImputationResult:
-        anchor_values = target_window[list(selection.anchor_indices)]
-        usable = ~np.isnan(anchor_values)
-        if not np.any(usable):
+        anchor_values = target_window[list(selection.anchor_indices)].tolist()
+        usable = [value for value in anchor_values if not math.isnan(value)]
+        if not usable:
             raise ImputationError(
                 "the incomplete series has no observed value at any selected anchor point"
             )
-        value = float(np.mean(anchor_values[usable]))
         return ImputationResult(
             series=target,
-            value=value,
+            # The mean of the usable anchor values, as ``np.mean`` computes it.
+            value=float(np.add.reduce(usable)) / len(usable),
             method="tkcm",
             reference_names=tuple(references),
-            anchor_indices=tuple(int(i) for i in selection.anchor_indices),
-            anchor_values=tuple(anchor_values.tolist()),
-            dissimilarities=tuple(selection.dissimilarities),
-            epsilon=epsilon_of_anchors(anchor_values[usable]),
+            anchor_indices=selection.anchor_indices,
+            anchor_values=tuple(anchor_values),
+            dissimilarities=selection.dissimilarities,
+            # Def. 5's spread, as ``consistency.epsilon_of_anchors`` computes it.
+            epsilon=max(usable) - min(usable),
         )
 
     def _fallback_result(self, target: str, window: np.ndarray) -> ImputationResult:
@@ -615,178 +492,299 @@ class TKCMImputer:
         return ImputationResult(series=target, value=value, method="fallback")
 
 
+#: Spare columns allocated past the live windows, so appends only move the
+#: windows back to the front of the store once every this many ticks.
+_HEADROOM = 32
+
+
 class _BatchWindows:
-    """Incremental window state shared by all ticks of one ``observe_batch`` block.
+    """Persistent window store of one :class:`TKCMImputer`.
 
-    For every series the ring-buffer window is mirrored into one contiguous
-    array ``ext`` holding the pre-block history followed by the block's
-    values; the window "after tick ``b``" is then just the slice of the last
-    ``min(history + b + 1, L)`` cells ending at position ``history + b`` —
-    advancing a tick changes a single column instead of rebuilding anything.
-    Write-backs of imputed values go into the same array (and into the block
-    matrix, which is bulk-flushed into the ring buffers once at the end).
+    ``values`` holds every series as one row, sharing one column axis: the
+    latest tick of every series sits in column ``end - 1``, and the window of
+    series ``j`` ending at column ``c`` is ``values[j, c + 1 - size(j, c):
+    c + 1]``, its size capped at ``L``.  Appending a block writes its rows
+    into spare columns; once the spare columns run out, the last ``L``
+    columns move back to the front (amortised over ``_HEADROOM`` ticks).
 
-    On top of the mirror, the cache maintains the reusable pieces of the
-    L2 dissimilarity computation.  With ``S`` the sliding-window matrix of all
-    length-``l`` subsequences of ``ext`` (built once per block as a stride
-    view), the squared dissimilarity of candidate ``j`` to the query at tick
-    ``b`` decomposes as::
+    Next to the values, ``norms[j, p]`` is the squared norm of the
+    length-``l`` subsequence of series ``j`` starting at column ``p``.  It
+    is computed once, when every cell of the subsequence is final (all
+    rows before the current query have been imputed), so the L2
+    dissimilarity of candidate ``p`` to the query at column ``c`` is::
 
-        D2[j] = norm2[j] - 2 * (S @ S[query(b)].T)[j, b] + norm2[query(b)]
+        D2[p] = sum over references of norms[p] - 2 * cross[p] + ||query||^2
 
-    where ``norm2`` are rolling squared norms (one cumulative sum per block)
-    and the cross term is one matrix product covering *every* tick of the
-    block.  Per tick, assembling ``D`` therefore costs a handful of O(number
-    of candidates) slice operations instead of the O(d * L * l) re-extraction
-    the tick path performs.  The decomposition is only used for series whose
-    mirror contains no NaN (their values cannot change mid-block, so the
-    precomputed terms stay valid) and for the L2 metric; everything else falls
-    back to the exact per-tick formula on the mirrored windows, as do ticks
-    where a candidate's distance is so close to zero that the decomposition's
-    cancellation error could flip the anchor DP's tie-breaking (see
-    ``_CANCELLATION_GUARD``).
+    where ``cross[p]`` is the dot product of the query pattern with the
+    subsequence at ``p``: one matrix product per reference set and call,
+    covering every query row of the call.  The exact formula is used
+    instead for non-L2 metrics, for windows that hold a NaN (their
+    decomposed terms are NaN), and where the decomposition's rounding could
+    order candidates differently from it (the two guards below).
     """
 
-    def __init__(
-        self,
-        imputer: TKCMImputer,
-        filled: np.ndarray,
-        names: List[str],
-        query_offsets: np.ndarray,
-    ) -> None:
-        config = imputer.config
-        self._imputer = imputer
+    #: A squared dissimilarity below this fraction of the query's squared
+    #: norm is dominated by the decomposition's cancellation error.
+    _CANCELLATION_GUARD = 1e-9
+    #: Two squared dissimilarities closer than this fraction of the largest
+    #: plus the query's squared norm may swap order.  Common: a reference
+    #: imputed with k = 2 anchors is their midpoint, as far from one as from
+    #: the other.  Ties between sums of different candidates go undetected.
+    _TIE_GUARD = 1e-11
+
+    def __init__(self, config: TKCMConfig) -> None:
         self._window_length = config.window_length
         self._pattern_length = config.pattern_length
-        self._decomposable = config.dissimilarity == "l2"
-        self._filled = filled
-        self._names = names
-        # Cross terms are only precomputed for ticks that can be queried
-        # (those with at least one missing value); this maps a block offset
-        # to its row in the cross matrices.
-        self._query_offsets = np.asarray(query_offsets, dtype=int)
-        self._query_row = np.full(filled.shape[0], -1, dtype=int)
-        self._query_row[self._query_offsets] = np.arange(len(self._query_offsets))
-        self._column = {name: j for j, name in enumerate(names)}
-        self._ext: Dict[str, np.ndarray] = {}
-        self._history: Dict[str, int] = {}
-        for j, name in enumerate(names):
-            history = imputer._buffers[name].view()
-            self._history[name] = len(history)
-            self._ext[name] = np.concatenate((history, filled[:, j]))
-        self._clean = {
-            name: not bool(np.isnan(ext).any()) for name, ext in self._ext.items()
-        }
-        self._rolling: Dict[str, np.ndarray] = {}
-        self._cross: Dict[str, np.ndarray] = {}
+        self._metric = config.dissimilarity
+        self.names: List[str] = []
+        self.index: Dict[str, int] = {}
+        #: Per series, the column of its first value (``-L`` once it is older
+        #: than any window can reach).
+        self._first: List[int] = []
+        self.values = np.empty((0, _HEADROOM))
+        self.norms = np.empty((0, _HEADROOM))
+        #: One past the latest column written.
+        self.end = 0
+        #: Norms of every subsequence starting before this column are computed.
+        self._norm_end = 0
+        self.finish()
 
-    # ------------------------------------------------------------------ #
-    # Window access (mirrors RingBuffer semantics at a given block offset)
-    # ------------------------------------------------------------------ #
-    def size_at(self, name: str, offset: int) -> int:
-        """Window size of ``name`` after the tick at ``offset`` was appended."""
-        return min(self._history[name] + offset + 1, self._window_length)
+    @classmethod
+    def from_buffers(cls, config: TKCMConfig, buffers: Mapping[str, object]) -> "_BatchWindows":
+        """Build the store from per-series ring buffers (same window contents)."""
+        store = cls(config)
+        contents = {name: buffer.view() for name, buffer in buffers.items()}
+        store.register(contents)
+        keep = max((len(window) for window in contents.values()), default=0)
+        store._reserve(keep)
+        for j, window in enumerate(contents.values()):
+            store.values[j, keep - len(window): keep] = window
+            store._first[j] = keep - len(window)
+        store.end = keep
+        return store
 
-    def latest(self, name: str, offset: int) -> float:
-        """Latest value of ``name`` at ``offset`` (write-backs included)."""
-        return float(self._ext[name][self._history[name] + offset])
+    def __getstate__(self) -> dict:
+        # Only the live windows are saved; norms are recomputed on demand
+        # (bit for bit: each norm depends on its own subsequence alone).
+        keep = min(self.end, self._window_length)
+        shift = self.end - keep
+        state = self.__dict__.copy()
+        state.update(
+            values=self.values[:, shift: self.end].copy(),
+            norms=None,
+            _first=[max(first - shift, -self._window_length) for first in self._first],
+            end=keep,
+            _norm_end=0,
+        )
+        return state
 
-    def window(self, name: str, offset: int) -> np.ndarray:
-        """Window contents of ``name`` at ``offset``, chronological order."""
-        end = self._history[name] + offset + 1
-        return self._ext[name][max(0, end - self._window_length): end]
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        live = self.values
+        self.values = np.full((len(self.names), self.end + _HEADROOM), np.nan)
+        self.values[:, : self.end] = live
+        self.norms = np.full_like(self.values, np.nan)
+        self.finish()
 
-    def write_back(self, name: str, offset: int, value: float) -> None:
-        """Store an imputed value so subsequent ticks observe it."""
-        self._ext[name][self._history[name] + offset] = value
-        self._filled[offset, self._column[name]] = value
+    def register(self, names: Iterable[str]) -> None:
+        """Add the unknown ``names``; their windows start at the next appended column."""
+        new = [name for name in dict.fromkeys(names) if name not in self.index]
+        if not new:
+            return
+        for name in new:
+            self.index[name] = len(self.names)
+            self.names.append(name)
+            self._first.append(self.end)
+        blank = np.full((len(new), self.values.shape[1]), np.nan)
+        self.values = np.concatenate((self.values, blank))
+        self.norms = np.concatenate((self.norms, blank))
 
-    def flush(self) -> None:
-        """Bulk-append the block (imputed values included) into the ring buffers."""
-        for j, name in enumerate(self._names):
-            self._imputer._buffers[name].extend_array(self._filled[:, j])
+    def size(self, series: int, col: int) -> int:
+        """Window size of ``series`` for the window ending at column ``col``."""
+        return min(col + 1 - self._first[series], self._window_length)
+
+    def window(self, series: int, col: int) -> np.ndarray:
+        """View of the window of ``series`` ending at column ``col``."""
+        return self.values[series, col + 1 - self.size(series, col): col + 1]
+
+    def _reserve(self, rows: int) -> None:
+        """Make room for ``rows`` more columns, dropping what no window reaches."""
+        if self.end + rows <= self.values.shape[1]:
+            return
+        keep = min(self.end, self._window_length)
+        shift = self.end - keep
+        # Grow geometrically while the windows fill, then stay at L + headroom.
+        capacity = max(keep + rows, min(2 * keep, self._window_length)) + _HEADROOM
+        values = np.full((len(self.names), capacity), np.nan)
+        values[:, :keep] = self.values[:, shift: self.end]
+        norms = np.full_like(values, np.nan)
+        norms[:, :keep] = self.norms[:, shift: self.end]
+        self.values, self.norms = values, norms
+        self.end = keep
+        self._norm_end = max(self._norm_end - shift, 0)
+        self._first = [max(first - shift, -self._window_length) for first in self._first]
+
+    def append(self, block: np.ndarray, names: Sequence[str]) -> int:
+        """Append ``block``'s rows (absent series get NaN); returns the first column."""
+        rows = block.shape[0]
+        self._reserve(rows)
+        base = self.end
+        cells = self.values[:, base: base + rows]
+        if list(names) == self.names:
+            cells[...] = block.T
+        else:
+            cells.fill(np.nan)
+            for k, name in enumerate(names):
+                cells[self.index[name]] = block[:, k]
+        self.end = base + rows
+        return base
+
+    def prime(self, history: Mapping[str, np.ndarray], length: int) -> None:
+        """Append ``length`` values to every series in ``history``.
+
+        Series left out keep their window, which still ends at the latest
+        column: their values move right by the appended width.
+        """
+        width = min(length, self._window_length)
+        if width == 0:
+            return
+        self._reserve(width)
+        end = self.end
+        for j, name in enumerate(self.names):
+            if name in history:
+                self.values[j, end: end + width] = history[name][length - width:]
+                continue
+            size = self.size(j, end - 1)
+            kept = self.values[j, end - size: end].copy()
+            self.values[j, end - size: end + width] = np.nan
+            self.values[j, end + width - size: end + width] = kept
+            self._first[j] += width
+            self._norm_end = 0  # this series' subsequences moved
+        self.end = end + width
 
     # ------------------------------------------------------------------ #
     # Dissimilarities
     # ------------------------------------------------------------------ #
-    def dissimilarities(
-        self, references: Sequence[str], offset: int, window_size: int
-    ) -> np.ndarray:
-        """Candidate dissimilarity vector ``D`` for the query at ``offset``."""
-        if self._decomposable and all(self._clean[name] for name in references):
-            return self._decomposed_dissimilarities(references, offset, window_size)
-        windows = np.vstack(
-            [self.window(name, offset)[-window_size:] for name in references]
-        )
-        return self._imputer._candidate_dissimilarities(windows)
-
-    #: A squared dissimilarity below this fraction of the query's squared norm
-    #: is dominated by the decomposition's cancellation error; the tick is
-    #: recomputed with the exact formula so near-zero ties break the same way
-    #: as on the tick path.
-    _CANCELLATION_GUARD = 1e-9
-
-    def _decomposed_dissimilarities(
-        self, references: Sequence[str], offset: int, window_size: int
-    ) -> np.ndarray:
+    def begin(self, query_cols: List[int]) -> None:
+        """Start a call whose queries end at ``query_cols`` (ascending)."""
         length = self._pattern_length
-        num_candidates = window_size - 2 * length + 1
-        total = np.zeros(num_candidates)
-        query_scale = 0.0
-        for name in references:
-            end = self._history[name] + offset + 1
-            window_start = end - window_size
-            rolling = self._rolling_norms(name)
-            cross_row = self._cross_terms(name)[self._query_row[offset]]
-            total += rolling[window_start: window_start + num_candidates]
-            # ... - 2 * cross, as two in-place subtractions (no scaled temp).
-            total -= cross_row[window_start: window_start + num_candidates]
-            total -= cross_row[window_start: window_start + num_candidates]
-            total += rolling[end - length]
-            query_scale += rolling[end - length]
-        if float(np.min(total)) < self._CANCELLATION_GUARD * query_scale:
-            # Some candidate is (nearly) identical to the query: the
-            # decomposition's error would be larger than the distance itself
-            # and could flip the anchor DP's tie-breaking away from the tick
-            # path's.  Recompute this tick exactly.
-            windows = np.vstack(
-                [self.window(name, offset)[-window_size:] for name in references]
-            )
-            return self._imputer._candidate_dissimilarities(windows)
-        # FP cancellation can leave tiny negative squared distances.
-        np.maximum(total, 0.0, out=total)
+        self._query_row = {col: row for row, col in enumerate(query_cols)}
+        # Query patterns too early to be complete are clamped; they are never
+        # read (the window-size check rejects them first).
+        self._query_starts = [max(col + 1 - length, 0) for col in query_cols]
+        # The candidates any query of the call can use: from the oldest
+        # window start to the newest query's last candidate.
+        self._candidates = (
+            max(query_cols[0] + 1 - self._window_length, 0),
+            query_cols[-1] + 2 - 2 * length,
+        )
+
+    def finish(self) -> None:
+        """End the call: drop its cross terms."""
+        self._query_row, self._query_starts, self._candidates = {}, [], (0, 0)
+        self._cross: Dict[tuple, tuple] = {}
+
+    def dissimilarities(
+        self, references: Sequence[str], col: int, window_size: int
+    ) -> np.ndarray:
+        """Candidate dissimilarity vector ``D`` for the query ending at ``col``."""
+        rows = [self.index[name] for name in references]
+        start = col + 1 - window_size
+        if self._metric == "l2":
+            decomposed = self._decomposed(rows, col, start, window_size)
+            if decomposed is not None:
+                return decomposed
+        return self._exact(self.values[rows, start: col + 1])
+
+    def _decomposed(
+        self, rows: List[int], col: int, start: int, window_size: int
+    ) -> Optional[np.ndarray]:
+        """L2 ``D`` from norms and cross terms, or ``None`` where it is unsafe."""
+        count = window_size - 2 * self._pattern_length + 1
+        self._settle(col)
+        key = tuple(rows)
+        terms = self._cross.get(key)
+        if terms is None:
+            terms = self._cross[key] = self._cross_terms(rows)
+        cross, query_norms = terms
+        query = self._query_row[col]
+        offset = start - self._candidates[0]
+        total = self.norms[rows, start: start + count].sum(axis=0)
+        total -= cross[query, offset: offset + count]
+        query_norm = query_norms[query]
+        total += query_norm
+        ordered = np.sort(total)
+        closest = np.minimum.reduce(ordered[1:] - ordered[:-1], initial=np.inf)
+        # NaN (a missing cell in some window) fails the comparisons too.
+        if not (ordered[0] >= self._CANCELLATION_GUARD * query_norm
+                and closest > self._TIE_GUARD * (ordered[-1] + query_norm)):
+            return None
         return np.sqrt(total, out=total)
 
-    def _rolling_norms(self, name: str) -> np.ndarray:
-        """``norm2[p]`` = squared norm of the length-``l`` subsequence at ``p``."""
-        rolling = self._rolling.get(name)
-        if rolling is None:
-            prefix = np.concatenate(([0.0], np.cumsum(self._ext[name] ** 2)))
-            length = self._pattern_length
-            rolling = prefix[length:] - prefix[:-length]
-            self._rolling[name] = rolling
-        return rolling
+    def _settle(self, col: int) -> None:
+        """Compute the norms of every subsequence lying wholly before ``col``."""
+        length = self._pattern_length
+        stop = col + 1 - length
+        start = self._norm_end
+        if stop <= start:
+            return
+        squares = np.square(self.values[:, start: stop + length - 1])
+        # Each subsequence copied out contiguously, so every norm is summed
+        # the same way whatever the number settled at once.
+        runs = np.ascontiguousarray(_runs(squares, 0, stop - start, length))
+        np.add.reduce(runs, axis=2, out=self.norms[:, start: stop].T)
+        self._norm_end = stop
 
-    def _cross_terms(self, name: str) -> np.ndarray:
-        """``cross[r, p]`` = dot product of query row ``r`` with subsequence ``p``.
+    def _cross_terms(self, rows: List[int]) -> tuple:
+        """``(cross, query_norms)`` of the reference set ``rows`` for this call.
 
-        One row per *queryable* tick (``_query_row`` maps block offsets to
-        rows), stored with queries as rows so the per-tick candidate range is
-        one contiguous slice.  Restricting the matrix product to queryable
-        ticks keeps its cost proportional to the ticks actually imputed.
+        ``cross[q, p - _candidates[0]]`` is twice the dot product of query
+        ``q``'s pattern with the pattern at candidate ``p`` (both the ``d``
+        reference subsequences, concatenated), for every query of the call
+        and every candidate any of them can use: one matrix product, and
+        each query's candidate range is one contiguous slice.
+        ``query_norms[q]`` is the squared norm of query ``q``'s pattern.
         """
-        cross = self._cross.get(name)
-        if cross is None:
-            ext = self._ext[name]
-            length = self._pattern_length
-            subsequences = sliding_window_view(ext, length)
-            history = self._history[name]
-            # Query of tick b = the last l values up to position history + b.
-            # Offsets too early to hold a full query are clamped; they are
-            # never read (the window-size check rejects them first).
-            query_starts = np.clip(
-                self._query_offsets + history + 1 - length, 0, len(ext) - length
-            )
-            cross = subsequences[query_starts] @ subsequences.T
-            self._cross[name] = cross
-        return cross
+        length = self._pattern_length
+        low, high = self._candidates
+        cells = self.values[rows]
+        candidates = _runs(cells, low, high - low, length).reshape(high - low, -1)
+        queries = _runs(cells, 0, cells.shape[1] - length + 1, length)[self._query_starts]
+        queries = queries.reshape(len(queries), -1)
+        cross = queries @ candidates.T
+        cross *= 2.0
+        return cross, (queries * queries).sum(axis=1)
+
+    def _exact(self, windows: np.ndarray) -> np.ndarray:
+        """Dissimilarity vector D by the exact formula, NaN candidates excluded.
+
+        Cells where the *query pattern* itself is NaN are ignored (treated as
+        zero contribution); candidate patterns containing NaN in any remaining
+        cell receive an infinite dissimilarity so they cannot be selected.
+        """
+        l = self._pattern_length
+        query = windows[:, -l:]
+        query_nan = np.isnan(query)
+        if query_nan.any():
+            # Neutralise NaN query cells in every comparison.
+            windows[:, -l:] = np.where(query_nan, 0.0, query)
+        candidate_nan = np.isnan(windows)
+        filled = np.where(candidate_nan, 0.0, windows)
+        dissimilarities = candidate_dissimilarities(filled, l, metric=self._metric)
+
+        if candidate_nan.any():
+            # Mark candidates whose pattern touches a NaN cell as unusable.
+            nan_any = candidate_nan.any(axis=0).astype(float)
+            counts = np.convolve(nan_any, np.ones(l), mode="valid")
+            dissimilarities = dissimilarities.copy()
+            dissimilarities[counts[: len(dissimilarities)] > 0] = np.inf
+        return dissimilarities
+
+
+def _runs(cells: np.ndarray, start: int, count: int, length: int) -> np.ndarray:
+    """View of C-contiguous 2-D ``cells`` with ``[p, r]`` = ``cells[r, start + p:][:length]``."""
+    step = cells.itemsize
+    return np.ndarray(
+        (count, cells.shape[0], length), cells.dtype, cells, start * step,
+        (step, cells.strides[0], step),
+    )

@@ -43,6 +43,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
+from ..cluster.worker import InheritedSocket, close_in_child
 from ..exceptions import (
     GatewayError, ProtocolError, ReproError, RolledBackError, UnavailableError,
 )
@@ -87,6 +88,8 @@ class _Connection:
     def __init__(self, conn_id: int, writer: asyncio.StreamWriter) -> None:
         self.conn_id = conn_id
         self.writer = writer
+        #: Workers forked while the connection is open close their copy.
+        self.inherited = close_in_child(InheritedSocket(writer.get_extra_info("socket")))
         self.decoder = protocol.FrameDecoder()
         #: station -> namespaced backend session id
         self.sessions: Dict[str, str] = {}
@@ -199,6 +202,8 @@ class GatewayServer:
         self._max_frame_payload = int(max_frame_payload)
 
         self._server: Optional[asyncio.base_events.Server] = None
+        #: Registry entries of the listening sockets (see close_in_child).
+        self._inherited: List[InheritedSocket] = []
         self._gate: Optional[asyncio.Event] = None
         self._connections: Dict[int, _Connection] = {}
         self._session_owner: Dict[str, _Connection] = {}
@@ -309,6 +314,9 @@ class GatewayServer:
             self._handle_connection, self._host, self._port
         )
         self._port = self._server.sockets[0].getsockname()[1]
+        self._inherited = [
+            close_in_child(InheritedSocket(sock)) for sock in self._server.sockets
+        ]
         if self._signal is not None:
             asyncio.get_running_loop().add_reader(self._signal, self._deliver)
         self._closed = False
@@ -321,6 +329,7 @@ class GatewayServer:
         self._server.close()
         await self._server.wait_closed()
         self._server = None
+        self._inherited = []
         if self._signal is not None:
             asyncio.get_running_loop().remove_reader(self._signal)
         for connection in list(self._connections.values()):
@@ -532,8 +541,9 @@ class GatewayServer:
         """Lease a live token connection's sessions and close it.
 
         Its client resumes and replays what was not ACKed.  Shut down, not
-        just closed: a worker forked since the accept holds a copy of the
-        socket, so a close alone would never reach the client.
+        just closed: any other process holding a copy of the socket would
+        keep a plain close from reaching the client (forked workers release
+        theirs, see ``close_in_child``).
         """
         self._connections.pop(connection.conn_id, None)
         self._detach_sessions(connection)

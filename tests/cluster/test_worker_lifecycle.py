@@ -1,18 +1,24 @@
-"""A cluster's workers must not outlive a coordinator that dies abruptly.
+"""Forked workers close what they inherit from their coordinator's process.
 
-Forked workers inherit the coordinator-side ends of every pipe created
-before them; a worker still holding one never sees EOF on its own command
-pipe, so it would keep running after a SIGKILL of its coordinator.
+A worker inherits the coordinator-side ends of every pipe created before
+it; holding one, it never sees EOF on its own command pipe and would keep
+running after a SIGKILL of its coordinator.  A worker forked while a
+gateway serves the cluster (heal, rebalance, autoscale) inherits the
+gateway's sockets too; holding them, it keeps a stopped gateway's clients
+connected and its port bound.
 """
 
 import os
 import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.cluster import ClusterCoordinator
+from repro.gateway import GatewayServer
 from tests.timing import wait_until
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -64,3 +70,31 @@ def test_workers_exit_when_their_coordinator_is_killed(workers):
         for pid in pids:
             if _running(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+def _sees_eof(client: socket.socket) -> bool:
+    try:
+        return client.recv(1) == b""
+    except socket.timeout:
+        return False
+    except ConnectionResetError:
+        return True
+
+
+def test_workers_forked_under_a_gateway_drop_its_sockets():
+    with ClusterCoordinator(num_workers=1) as cluster:
+        server = GatewayServer(cluster)
+        with server.background():
+            port = server.port
+            client = socket.create_connection(("127.0.0.1", port))
+            wait_until(lambda: server.stats()["connections_current"] == 1,
+                       message="the gateway never accepted the client")
+            cluster.rebalance(2)  # forks a worker while both sockets are open
+        with client:
+            client.settimeout(0.05)
+            wait_until(lambda: _sees_eof(client), timeout=5.0,
+                       message="the client saw no EOF from the stopped gateway")
+        assert cluster.dead_workers() == []
+        # The forked worker is alive and the port is free again.
+        with socket.create_server(("127.0.0.1", port)):
+            pass

@@ -7,6 +7,7 @@ import pytest
 
 from repro import TKCMConfig, TKCMImputer
 from repro.exceptions import ConfigurationError
+from tests.tkcm_oracle import TickTKCMImputer
 
 
 @pytest.fixture
@@ -240,14 +241,15 @@ class TestMissingDataInReferences:
 
 class TestAnchorHintReuse:
     """The carried-over anchor-DP pruning bound must be invisible in the
-    results — same imputations, tick path and batch path alike."""
+    results — same imputations one row at a time and in one block, and the
+    same as the tick-at-a-time oracle's."""
 
-    def _imputer(self, use_hints: bool) -> TKCMImputer:
+    def _imputer(self, use_hints: bool, cls=TKCMImputer) -> TKCMImputer:
         config = TKCMConfig(
             window_length=1200, pattern_length=12, num_anchors=3,
             num_references=2,
         )
-        imputer = TKCMImputer(
+        imputer = cls(
             config,
             series_names=["s0", "s1", "s2"],
             reference_rankings={"s0": ["s1", "s2"]},
@@ -313,7 +315,7 @@ class TestAnchorHintReuse:
 
     def test_batch_and_tick_paths_agree_with_hints_on(self):
         matrix = self._stream()
-        tick_outputs = self._run(self._imputer(True), matrix, batch=False)
+        tick_outputs = self._run(self._imputer(True, TickTKCMImputer), matrix, batch=False)
         batch_outputs = self._run(self._imputer(True), matrix, batch=True)
         assert tick_outputs == batch_outputs
 

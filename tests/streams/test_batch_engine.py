@@ -3,7 +3,10 @@
 ``StreamingImputationEngine.run_batch`` must be a drop-in replacement for
 ``run``: same imputed values (bit-identical), same tick accounting, for any
 batch size, for batch-aware imputers (TKCM) and for plain online imputers
-driven through the default ``observe_batch`` loop fallback.
+driven through the default ``observe_batch`` loop fallback.  For TKCM the
+tick run is the original tick-at-a-time algorithm
+(:class:`tests.tkcm_oracle.TickTKCMImputer`), so every block size is checked
+against the oracle rather than against the library's own one-row calls.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from repro import TKCMConfig, TKCMImputer
 from repro.baselines import KnnImputer, LocfImputer, SpiritImputer
 from repro.exceptions import ConfigurationError, StreamError
 from repro.streams import MultiSeriesStream, StreamingImputationEngine
+from tests.tkcm_oracle import TickTKCMImputer
 
 NAMES = ["s0", "s1", "s2", "s3"]
 
@@ -34,13 +38,16 @@ def _synthetic_stream(num_ticks: int = 1200, gap=(700, 900)) -> MultiSeriesStrea
     return MultiSeriesStream(data, sample_period_minutes=5.0)
 
 
-def _tkcm_factory():
+def _tkcm_factory(cls=TKCMImputer, **config):
     config = TKCMConfig(
-        window_length=600, pattern_length=24, num_anchors=4, num_references=2
+        window_length=600, pattern_length=24, num_anchors=4, num_references=2,
+        **config,
     )
-    return TKCMImputer(
-        config, series_names=NAMES, reference_rankings={"s0": NAMES[1:]}
-    )
+    return cls(config, series_names=NAMES, reference_rankings={"s0": NAMES[1:]})
+
+
+def _oracle_factory(**config):
+    return _tkcm_factory(TickTKCMImputer, **config)
 
 
 IMPUTER_FACTORIES = {
@@ -49,6 +56,10 @@ IMPUTER_FACTORIES = {
     "spirit": lambda: SpiritImputer(NAMES, num_hidden=2, ar_order=6),
     "knn": lambda: KnnImputer(NAMES, num_neighbors=3, window_length=300),
 }
+
+
+#: The tick run of each kind: TKCM's is the oracle, the rest run themselves.
+TICK_FACTORIES = dict(IMPUTER_FACTORIES, tkcm=_oracle_factory)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +72,7 @@ class TestBatchTickParity:
     @pytest.mark.parametrize("batch_size", [1, 97, 288, 4096])
     def test_run_batch_matches_run_bit_identically(self, stream, kind, batch_size):
         factory = IMPUTER_FACTORIES[kind]
-        tick = StreamingImputationEngine(factory()).run(stream)
+        tick = StreamingImputationEngine(TICK_FACTORIES[kind]()).run(stream)
         batch = StreamingImputationEngine(factory()).run_batch(
             stream, batch_size=batch_size
         )
@@ -73,7 +84,7 @@ class TestBatchTickParity:
     @pytest.mark.parametrize("kind", sorted(IMPUTER_FACTORIES))
     def test_parity_with_warmup_and_range(self, stream, kind):
         factory = IMPUTER_FACTORIES[kind]
-        tick = StreamingImputationEngine(factory(), warmup_ticks=720).run(
+        tick = StreamingImputationEngine(TICK_FACTORIES[kind](), warmup_ticks=720).run(
             stream, start=0, stop=850
         )
         batch = StreamingImputationEngine(factory(), warmup_ticks=720).run_batch(
@@ -83,7 +94,7 @@ class TestBatchTickParity:
         assert batch.ticks_processed == tick.ticks_processed == 850
 
     def test_tkcm_parity_with_priming(self, stream):
-        tick = StreamingImputationEngine(_tkcm_factory()).run(stream, prime_until=700)
+        tick = StreamingImputationEngine(_oracle_factory()).run(stream, prime_until=700)
         batch = StreamingImputationEngine(_tkcm_factory()).run_batch(
             stream, batch_size=128, prime_until=700
         )
@@ -91,7 +102,7 @@ class TestBatchTickParity:
         assert batch.ticks_processed == tick.ticks_processed == 500
 
     def test_tkcm_details_match(self, stream):
-        tick = StreamingImputationEngine(_tkcm_factory()).run(stream)
+        tick = StreamingImputationEngine(_oracle_factory()).run(stream)
         batch = StreamingImputationEngine(_tkcm_factory()).run_batch(
             stream, batch_size=256
         )
@@ -117,7 +128,7 @@ class TestBatchTickParity:
         data["s0"][500:650] = np.nan
         data["s1"][560:580] = np.nan  # overlaps the target's gap
         stream = MultiSeriesStream(data, sample_period_minutes=5.0)
-        tick = StreamingImputationEngine(_tkcm_factory()).run(stream)
+        tick = StreamingImputationEngine(_oracle_factory()).run(stream)
         batch = StreamingImputationEngine(_tkcm_factory()).run_batch(stream, batch_size=200)
         assert batch.imputed == tick.imputed
 
@@ -137,7 +148,7 @@ class TestBatchTickParity:
         }
         data["s0"][700:900] = np.nan
         stream = MultiSeriesStream(data, sample_period_minutes=5.0)
-        tick = StreamingImputationEngine(_tkcm_factory()).run(stream)
+        tick = StreamingImputationEngine(_oracle_factory()).run(stream)
         batch = StreamingImputationEngine(_tkcm_factory()).run_batch(stream, batch_size=97)
         assert batch.imputed == tick.imputed
         tick_details, batch_details = tick.details, batch.details
@@ -149,21 +160,10 @@ class TestBatchTickParity:
 
     def test_tkcm_parity_for_non_l2_metric(self, stream):
         """Metrics without a decomposed fast path use the exact fallback."""
-
-        def factory():
-            config = TKCMConfig(
-                window_length=600,
-                pattern_length=24,
-                num_anchors=4,
-                num_references=2,
-                dissimilarity="l1",
-            )
-            return TKCMImputer(
-                config, series_names=NAMES, reference_rankings={"s0": NAMES[1:]}
-            )
-
-        tick = StreamingImputationEngine(factory()).run(stream)
-        batch = StreamingImputationEngine(factory()).run_batch(stream, batch_size=256)
+        tick = StreamingImputationEngine(_oracle_factory(dissimilarity="l1")).run(stream)
+        batch = StreamingImputationEngine(_tkcm_factory(dissimilarity="l1")).run_batch(
+            stream, batch_size=256
+        )
         assert batch.imputed == tick.imputed
 
 
