@@ -27,7 +27,10 @@ Two ingestion shapes:
   :attr:`result_signal`, and takes whatever landed with
   :meth:`poll_results`; :meth:`applied_records` says how many of a
   session's streamed records the workers have applied (on a durable
-  cluster: journaled).  :meth:`flush` remains the barrier.
+  cluster: journaled).  :meth:`flush` remains the barrier.  Neither
+  direction need be decoded here: :meth:`push_frame_nowait` streams a
+  block held as an encoded push frame (the gateway's validated PUSH
+  payloads), and :meth:`poll_results` hands result frames out as bytes.
 
 Live operations ride on the session checkpoint primitive — the exact
 ``snapshot()`` / ``restore()`` round trip:
@@ -97,8 +100,9 @@ from ..exceptions import (
 from ..results import TickResult
 from ..service.session import Tick
 from .router import MovePlan, ShardRouter
+from .shm import PushFrame
 from .telemetry import aggregate_stats
-from .worker import ClusterWorker, close_in_child
+from .worker import ClusterWorker, close_in_child, decode_results
 
 __all__ = ["ClusterCoordinator"]
 
@@ -123,6 +127,21 @@ DEFAULT_MAX_INFLIGHT = 20_000
 #: both processes in ``send`` once the OS pipe buffers are full of snapshot
 #: blobs.
 _PIPELINE_WINDOW = 32
+
+
+class _Linger:
+    """One session's pipelined records not emitted yet, in push order.
+
+    ``items`` holds rows (one record each) and
+    :class:`~repro.cluster.shm.PushFrame` blocks; ``records`` counts the
+    records they carry.
+    """
+
+    __slots__ = ("items", "records")
+
+    def __init__(self) -> None:
+        self.items: list = []
+        self.records = 0
 
 
 def _serialized(method):
@@ -197,8 +216,9 @@ class ClusterCoordinator:
         self._linger_records = int(linger_records)
         self._linger_cap = max(int(linger_cap), int(linger_records))
         self._max_inflight = int(max_inflight)
-        #: Per-session rows accepted by push_nowait but not yet emitted.
-        self._linger: Dict[str, list] = {}
+        #: Per-session records accepted by push_nowait/push_frame_nowait
+        #: but not yet emitted.
+        self._linger: Dict[str, _Linger] = {}
         #: Per-worker records emitted onto the data plane but not yet
         #: reported applied by the worker.
         self._inflight: Dict[int, int] = {i: 0 for i in range(num_workers)}
@@ -206,8 +226,12 @@ class ClusterCoordinator:
         #: the pipelined backlog ever got (watermark telemetry for callers
         #: like the gateway that need to tune backpressure thresholds).
         self._inflight_peak: Dict[int, int] = {i: 0 for i in range(num_workers)}
-        #: Results drained from the workers but not yet handed out.
-        self._stash: Dict[str, List[TickResult]] = {}
+        #: Results drained from the workers but not yet handed out: result
+        #: frames as bytes, and TickResults that travelled inline.
+        self._stash: Dict[str, list] = {}
+        #: Deferred push failures collected but not raised yet: each is
+        #: raised by one flush().
+        self._deferred: List[Exception] = []
         #: Per-session pipelined records the workers have applied.
         self._applied_records: Dict[str, int] = {}
         #: Per-session tick count once everything routed to it is applied
@@ -411,20 +435,21 @@ class ClusterCoordinator:
         to ``linger_cap`` while the owning worker's ring has a backlog) until
         :meth:`emit_pending` or any RPC sends them; their results are
         claimed with :meth:`poll_results` or :meth:`flush`.  Per-session
-        ordering is preserved end to end.
+        ordering is preserved end to end.  A record the session rejects
+        fails the next :meth:`flush`, never this call.
         """
-        self._ensure_open()
-        shard = self._require_session(session_id)
-        self._check_available(shard, session_id)
-        if session_id in self._rolled_back:
-            self._refuse_rolled_back(session_id)
-        rows = self._linger.setdefault(session_id, [])
-        rows.append(tick)
-        self._routed_ticks[session_id] = self._routed_ticks.get(session_id, 0) + 1
-        if len(rows) >= self._linger_target.get(shard, self._linger_records):
-            self._emit_linger(session_id)
-            if self._inflight.get(shard, 0) >= self._max_inflight:
-                self._collect_into_stash()
+        self._admit(session_id, tick, 1)
+
+    @_serialized
+    def push_frame_nowait(self, session_id: str, frame: PushFrame) -> None:
+        """Stream a block of records, held as an encoded push frame.
+
+        Like :meth:`push_nowait` for each of the frame's ``rows`` records,
+        but the block is never decoded on this side: on the shm transport it
+        is re-stamped into the worker's push ring as one frame (the gateway
+        forwards the PUSH payloads it validated this way).
+        """
+        self._admit(session_id, frame, frame.rows)
 
     @_serialized
     def flush(self) -> Dict[str, List[TickResult]]:
@@ -435,12 +460,15 @@ class ClusterCoordinator:
         handed out by :meth:`poll_results`, each session's results in tick
         order.  Blocks until every worker that received data has applied it
         (the barrier behind a gateway FLUSH); a deferred push failure is
-        raised here.
+        raised here, each by one flush.
         """
         self._ensure_open()
         self._collect_into_stash()
+        self._raise_deferred()
         gathered, self._stash = self._stash, {}
-        return gathered
+        return {
+            session_id: decode_results(items) for session_id, items in gathered.items()
+        }
 
     @_serialized
     def emit_pending(self) -> None:
@@ -449,15 +477,19 @@ class ClusterCoordinator:
         self._flush_linger()
 
     @_serialized
-    def poll_results(self) -> Dict[str, List[TickResult]]:
-        """Take the results published so far, without blocking.
+    def poll_results(self) -> Dict[str, list]:
+        """Take the results published so far, without blocking or decoding.
 
         Consumes pending wake-ups on :attr:`result_signal`, drains every
         result ring and settles the applied markers it finds (so
         :meth:`pipelined_backlog` and :meth:`applied_records` move), and
-        returns ``{session_id: [TickResult, ...]}`` in tick order.  Never
-        touches the command pipes, so it is safe while the workers are busy
-        with anything else.
+        returns ``{session_id: [item, ...]}`` in tick order.  An item is one
+        result frame as bytes (the layout of
+        :func:`~repro.cluster.shm.decode_result_frame`) or a
+        :class:`~repro.results.TickResult` the ring could not carry;
+        :func:`~repro.cluster.worker.decode_results` turns a list of items
+        into tick results.  Never touches the command pipes, so it is safe
+        while the workers are busy with anything else.
         """
         self._ensure_open()
         if self._signal_reader is not None:
@@ -507,7 +539,7 @@ class ClusterCoordinator:
         been drained yet.  Cheap (no RPC) — suitable for polling by an
         ingest tier deciding whether to apply backpressure.
         """
-        lingering = sum(len(rows) for rows in self._linger.values())
+        lingering = sum(linger.records for linger in self._linger.values())
         return lingering + sum(self._inflight.values())
 
     def data_plane_stalls(self) -> int:
@@ -612,6 +644,7 @@ class ClusterCoordinator:
         self._ensure_open()
         self._flush_linger()
         self._collect_into_stash()  # in-flight results must not be lost
+        self._raise_deferred()
         plan = self._router.drain(worker_index)
         self._migrate(plan)
         return plan
@@ -632,6 +665,7 @@ class ClusterCoordinator:
             )
         self._flush_linger()
         self._collect_into_stash()
+        self._raise_deferred()
         for index in range(self.num_workers, new_worker_count):
             self._workers.append(self._spawn_worker(index))
             self._inflight[index] = 0
@@ -854,7 +888,7 @@ class ClusterCoordinator:
         # Confirmed tick of each session with unconfirmed records.
         until = {
             session_id: self._routed_ticks.get(session_id, 0)
-            - records - len(held.get(session_id, ()))
+            - records - (held[session_id].records if session_id in held else 0)
             for session_id, records in unconfirmed.items()
         }
         try:
@@ -876,16 +910,16 @@ class ClusterCoordinator:
                 if dropped:
                     lost += dropped
                     # Rows queued behind them would overtake their re-send.
-                    dropped += len(held.pop(session_id, ()))
+                    if session_id in held:
+                        dropped += held.pop(session_id).records
                     self._rolled_back[session_id] = (
                         self._rolled_back.get(session_id, 0) + dropped
                     )
-            for session_id, rows in held.items():
+            for session_id, linger in held.items():
                 if session_id in placed:  # restored without them: recount
-                    self._routed_ticks[session_id] += len(rows)
+                    self._routed_ticks[session_id] += linger.records
         finally:
-            for session_id, rows in held.items():
-                self._linger[session_id] = rows
+            self._linger.update(held)
         report.lost_inflight_records = lost
         self._count_recovery(report)
         # A restored shard serves again: lift any crash-loop quarantine so
@@ -1141,21 +1175,43 @@ class ClusterCoordinator:
                 f"active: {', '.join(self.session_ids) or '(none)'}"
             ) from None
 
-    def _emit_linger(self, session_id: str) -> None:
-        """Emit one session's buffered rows onto the data plane.
+    def _admit(self, session_id: str, item, records: int) -> None:
+        """Queue ``records`` pipelined records for one session (see push_nowait)."""
+        self._ensure_open()
+        shard = self._require_session(session_id)
+        self._check_available(shard, session_id)
+        if session_id in self._rolled_back:
+            self._refuse_rolled_back(session_id)
+        linger = self._linger.get(session_id)
+        if linger is None:
+            linger = self._linger[session_id] = _Linger()
+        linger.items.append(item)
+        linger.records += records
+        self._routed_ticks[session_id] = self._routed_ticks.get(session_id, 0) + records
+        if linger.records >= self._linger_target.get(shard, self._linger_records):
+            self._emit_linger(session_id)
+            self._workers[shard].wake()
+            if self._inflight.get(shard, 0) >= self._max_inflight:
+                # Bounds worker-side buffering; a deferred failure found
+                # here waits for flush(): this call's records are in flight.
+                self._collect_into_stash()
 
-        On the shm transport the rows become codec frames in the owning
+    def _emit_linger(self, session_id: str) -> None:
+        """Emit one session's buffered records onto the data plane.
+
+        On the shm transport the records become codec frames in the owning
         worker's push ring, and the adaptive micro-batch target for that
         worker is updated: a non-empty ring before the write means the
         worker is running behind, so the next batch is allowed to grow
         (fewer, larger frames → larger vectorised blocks); an empty ring
-        resets the target to the configured base.
+        resets the target to the configured base.  The caller wakes the
+        worker (:meth:`ClusterWorker.wake`).
         """
         shard = self._router.shard_of(session_id)
         if shard in self._degraded:
             return  # held back until the shard's quarantine is lifted
-        rows = self._linger.pop(session_id, None)
-        if not rows:
+        linger = self._linger.pop(session_id, None)
+        if linger is None:
             return
         worker = self._workers[shard]
         if worker.uses_shm:
@@ -1166,18 +1222,22 @@ class ClusterCoordinator:
                 )
             else:
                 self._linger_target.pop(shard, None)
-        worker.push_rows(session_id, rows)
+        worker.push_rows(session_id, linger.items, linger.records)
         self._uncollected.add(shard)
-        self._records_routed[shard] += len(rows)
-        pending = self._inflight.get(shard, 0) + len(rows)
+        self._records_routed[shard] += linger.records
+        pending = self._inflight.get(shard, 0) + linger.records
         self._inflight[shard] = pending
         if pending > self._inflight_peak.get(shard, 0):
             self._inflight_peak[shard] = pending
 
     def _flush_linger(self) -> None:
-        """Emit every buffered row (ordering barrier before any RPC)."""
-        for session_id in list(self._linger):
-            self._emit_linger(session_id)
+        """Emit every buffered record (ordering barrier before any RPC)."""
+        try:
+            for session_id in list(self._linger):
+                self._emit_linger(session_id)
+        finally:
+            for worker in self._workers:
+                worker.wake()
 
     def _refuse_rolled_back(self, session_id: str) -> None:
         applied = self.applied_records(session_id)
@@ -1192,8 +1252,8 @@ class ClusterCoordinator:
         """Claim what a dead worker published and confirmed before dying."""
         self._settle(worker, worker.drain_results(self._sink))
 
-    def _sink(self, session_id: str, results: List[TickResult]) -> None:
-        self._stash.setdefault(session_id, []).extend(results)
+    def _sink(self, session_id: str, frame: bytes) -> None:
+        self._stash.setdefault(session_id, []).append(frame)
 
     def _settle(self, worker: ClusterWorker, emits: List[Tuple[str, int]]) -> None:
         """Account emits a worker has applied (or, dead, never will)."""
@@ -1212,7 +1272,8 @@ class ClusterCoordinator:
         transport the coordinator then drains the result ring until the
         worker's applied marker reaches that position.  The worker never
         blocks on a full ring, and replies are drained while they are in
-        flight, so neither side can deadlock.
+        flight, so neither side can deadlock.  A failed collect (a deferred
+        push failure, a dead worker) is kept for :meth:`_raise_deferred`.
         """
         self._flush_linger()
         # Degraded shards are quarantined: their in-flight results (if the
@@ -1233,7 +1294,6 @@ class ClusterCoordinator:
 
         for worker in busy:
             worker.send_request("collect")
-        errors: List[Exception] = []
         for worker in busy:
             try:
                 position, carried = worker.recv_reply(drain=drain_all)
@@ -1244,14 +1304,17 @@ class ClusterCoordinator:
             except Exception as error:  # deferred push failure; keep draining
                 # The worker may hold further deferred errors; leave it
                 # marked so the next flush collects it again.
-                errors.append(error)
+                self._deferred.append(error)
                 continue
             self._settle(worker, settled)
             self._uncollected.discard(worker.worker_id)
             for session_id, results in carried.items():
-                self._sink(session_id, results)
-        if errors:
-            raise errors[0]
+                self._stash.setdefault(session_id, []).extend(results)
+
+    def _raise_deferred(self) -> None:
+        """Raise the oldest deferred failure the collects found, if any."""
+        if self._deferred:
+            raise self._deferred.pop(0)
 
     def _migrate(self, plan: MovePlan) -> None:
         """Execute a router move plan via snapshot / restore / remove.

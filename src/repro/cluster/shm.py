@@ -21,6 +21,10 @@ This module removes that tax:
   segment, and encode imputed :class:`~repro.results.TickResult` lists as
   flat numpy columns plus a string table.  No pickle on either direction;
   reconstruction is bit-exact (values round-trip through ``float64``).
+  A frame can also travel without being decoded: :class:`PushFrame`
+  checks a push frame by its header and re-stamps its block under another
+  position and session id, and :func:`readdress_result_frame` does the
+  same for a result frame's session id.
 
 Concurrency model
 -----------------
@@ -59,10 +63,13 @@ __all__ = [
     "FRAME_PUSH",
     "FRAME_RESULTS",
     "FRAME_APPLIED",
+    "PushFrame",
     "encode_push_frames",
     "decode_push_frame",
     "encode_result_frames",
     "decode_result_frame",
+    "result_frame_session",
+    "readdress_result_frame",
 ]
 
 #: Default ring capacity (bytes of frame data) per direction per worker.
@@ -229,7 +236,9 @@ class SharedRingBuffer:
         arrays) concatenated into the frame payload in place — the only copy
         is the one into the segment.
         """
-        views = [memoryview(chunk).cast("B") for chunk in chunks]
+        views = [memoryview(chunk) for chunk in chunks]
+        # (An empty view cannot be cast; it carries nothing anyway.)
+        views = [view.cast("B") for view in views if view.nbytes]
         total = sum(view.nbytes for view in views)
         stored = _FRAME_HEADER + _round_up(total)
         if stored > self._capacity // 2:
@@ -489,23 +498,29 @@ def _chunk_matrix(matrix, mask, names, max_payload):
         yield matrix[start:stop], None if mask is None else mask[start:stop]
 
 
-def decode_push_frame(view: memoryview):
-    """Decode a push frame into ``(position, session_id, part)``.
+_PUSH_HEAD = struct.Struct("<QH")
 
-    ``part`` is ``("matrix", ndarray)`` for positional frames — the block is
-    copied out of the segment as one ``float64`` matrix — or
-    ``("rows", [dict, ...])`` for named frames, reconstructing exactly the
-    mappings that were pushed (absent keys stay absent).
+
+def _push_layout(view) -> tuple:
+    """Parse a push frame's header and check it against the frame's length.
+
+    Returns ``(position, session_id, names, rows, cols, table, dims,
+    end)``: ``names`` is ``None`` for a positional frame, ``table`` is the
+    offset of the flags byte, ``dims`` the end of the ``rows, cols`` field
+    that closes the header (the ``float64`` block starts at the next 8-byte
+    boundary), and ``end`` the end of the block and its bitmask.  Raises
+    ``struct.error``, ``ValueError`` or ``IndexError`` on a frame that
+    :func:`decode_push_frame` could not turn into rows: one too short for
+    what its header declares, a string that is not UTF-8, or a named frame
+    whose columns are not its names (the encoder writes one column per
+    name, and one column of absent cells when there are none).
     """
-    offset = 0
-    position = struct.unpack_from("<Q", view, offset)[0]
-    offset += 8
-    sid_len = struct.unpack_from("<H", view, offset)[0]
-    offset += 2
+    position, sid_len = _PUSH_HEAD.unpack_from(view, 0)
+    offset = _PUSH_HEAD.size
     session_id = bytes(view[offset: offset + sid_len]).decode("utf-8")
-    offset += sid_len
-    flags = view[offset]
-    offset += 1
+    table = offset + sid_len
+    flags = view[table]
+    offset = table + 1
     names: Optional[List[str]] = None
     if flags & _FLAG_NAMED:
         (n_names,) = struct.unpack_from("<H", view, offset)
@@ -517,27 +532,96 @@ def decode_push_frame(view: memoryview):
             names.append(bytes(view[offset: offset + length]).decode("utf-8"))
             offset += length
     rows, cols = struct.unpack_from("<II", view, offset)
-    offset = _round_up(offset + 8)
+    dims = offset + 8
+    end = _round_up(dims) + rows * cols * 8
+    if end > len(view):
+        raise ValueError(
+            f"push frame of {len(view)} bytes is too short for its "
+            f"{rows} x {cols} block"
+        )
+    if names is None:
+        return position, session_id, None, rows, cols, table, dims, end
+    if cols != max(len(names), 1):
+        raise ValueError(f"named push frame has {cols} columns for {len(names)} names")
+    mask = end
+    if flags & _FLAG_MASK:
+        end += (rows * cols + 7) // 8
+        if end > len(view):
+            raise ValueError("push frame is too short for its presence bitmask")
+    if not names and rows and (
+        mask == end
+        or np.unpackbits(
+            np.frombuffer(view, np.uint8, count=end - mask, offset=mask), count=rows
+        ).any()
+    ):
+        raise ValueError("named push frame has present cells but no names")
+    return position, session_id, names, rows, cols, table, dims, end
+
+
+def decode_push_frame(view: memoryview):
+    """Decode a push frame into ``(position, session_id, part)``.
+
+    ``part`` is ``("matrix", ndarray)`` for positional frames — the block is
+    copied out of the segment as one ``float64`` matrix — or
+    ``("rows", [dict, ...])`` for named frames, reconstructing exactly the
+    mappings that were pushed (absent keys stay absent).
+    """
+    position, session_id, names, rows, cols, _, dims, end = _push_layout(view)
+    cells = _round_up(dims)
     matrix = (
-        np.frombuffer(view, dtype=np.float64, count=rows * cols, offset=offset)
+        np.frombuffer(view, dtype=np.float64, count=rows * cols, offset=cells)
         .reshape(rows, cols)
         .copy()
     )
-    offset += rows * cols * 8
-    if not flags & _FLAG_NAMED:
+    if names is None:
         return position, session_id, ("matrix", matrix)
     mask = np.ones((rows, cols), dtype=bool)
-    if flags & _FLAG_MASK:
+    offset = cells + rows * cols * 8
+    if end > offset:
         n_bits = rows * cols
-        packed = np.frombuffer(view, dtype=np.uint8,
-                               count=(n_bits + 7) // 8, offset=offset)
+        packed = np.frombuffer(view, dtype=np.uint8, count=end - offset, offset=offset)
         mask = np.unpackbits(packed, count=n_bits).astype(bool).reshape(rows, cols)
-    assert names is not None
     dict_rows = [
         {names[j]: matrix[i, j] for j in range(cols) if mask[i, j]}
         for i in range(rows)
     ]
     return position, session_id, ("rows", dict_rows)
+
+
+class PushFrame:
+    """A push frame checked by its header, its block kept as bytes.
+
+    ``PushFrame(payload)`` raises where :func:`decode_push_frame` would,
+    without building the block: the gateway receives PUSH payloads in this
+    very layout (the client's sequence number as ``position``, the station
+    as ``session_id``) and forwards them.  :meth:`restamped` lays the same
+    block out under another position and session id for the push ring:
+    the header is rebuilt, the cells and bitmask are copied as bytes.
+    ``payload`` must not change while the frame is in use.
+    """
+
+    __slots__ = ("payload", "position", "session_id", "rows", "_table", "_dims", "_end")
+
+    def __init__(self, payload: bytes) -> None:
+        (self.position, self.session_id, _, self.rows, _, self._table,
+         self._dims, self._end) = _push_layout(payload)
+        self.payload = payload
+
+    def restamped(self, position: int, session_id: str) -> List:
+        """Chunk list of this block as a push frame of ``session_id`` at ``position``."""
+        header = (
+            struct.pack("<Q", position)
+            + _pack_str(session_id)
+            + self.payload[self._table: self._dims]
+        )
+        return [
+            header + bytes(_round_up(len(header)) - len(header)),
+            memoryview(self.payload)[_round_up(self._dims): self._end],
+        ]
+
+    def decode(self):
+        """The block as the ``part`` :func:`decode_push_frame` returns."""
+        return decode_push_frame(memoryview(self.payload))[2]
 
 
 # --------------------------------------------------------------------------- #
@@ -765,3 +849,31 @@ def decode_result_frame(view: memoryview) -> Tuple[str, List[TickResult]]:
             est_cursor += 1
         results.append(TickResult(index=int(tick_indices[t]), estimates=estimates))
     return session_id, results
+
+
+def result_frame_session(frame) -> str:
+    """The session id a result frame is addressed to (nothing else is read)."""
+    (sid_len,) = struct.unpack_from("<H", frame, 0)
+    return bytes(frame[2: 2 + sid_len]).decode("utf-8")
+
+
+def readdress_result_frame(frame: bytes, session_id: str) -> Tuple[bytes, int]:
+    """A result frame addressed to ``session_id`` instead; also its tick count.
+
+    Only the header is rebuilt (its padding depends on the id's length); the
+    columns are copied as bytes, so the frame equals what
+    :func:`encode_result_frames` makes of the decoded results under the new
+    id.
+    """
+    (sid_len,) = struct.unpack_from("<H", frame, 0)
+    table = 2 + sid_len
+    (n_strings,) = struct.unpack_from("<I", frame, table)
+    offset = table + 4
+    for _ in range(n_strings):
+        (length,) = struct.unpack_from("<H", frame, offset)
+        offset += 2 + length
+    (n_ticks,) = struct.unpack_from("<I", frame, offset)
+    offset += 20
+    header = _pack_str(session_id) + frame[table: offset]
+    pad = bytes(_round_up(len(header)) - len(header))
+    return b"".join((header, pad, memoryview(frame)[_round_up(offset):])), n_ticks

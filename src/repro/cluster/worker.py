@@ -13,7 +13,8 @@ A :class:`ClusterWorker` is the parent-side handle of a child process running
   :class:`~repro.results.TickResult` lists encoded as flat numpy columns,
   each loop tick's results followed by an *applied marker* — the data-plane
   position below which every item has been applied (on a durable cluster:
-  journaled).
+  journaled).  The parent side hands the frames on as bytes; only a caller
+  that needs the values decodes them (:func:`decode_results`).
 * **signal channel** (worker → coordinator, one pipe shared by the fleet):
   one byte after each publication to a result ring, so a reader such as the
   gateway can sleep on it instead of polling.  It never carries commands.
@@ -56,6 +57,7 @@ results.
 
 from __future__ import annotations
 
+import itertools
 import os
 import select
 import struct
@@ -73,15 +75,17 @@ from .shm import (
     FRAME_APPLIED,
     FRAME_PUSH,
     FRAME_RESULTS,
+    PushFrame,
     SharedRingBuffer,
     decode_push_frame,
     decode_result_frame,
     encode_push_frames,
     encode_result_frames,
+    result_frame_session,
 )
 from .telemetry import WorkerTelemetry
 
-__all__ = ["ClusterWorker", "InheritedSocket", "close_in_child"]
+__all__ = ["ClusterWorker", "InheritedSocket", "close_in_child", "decode_results"]
 
 #: Default seconds a coordinator waits for one RPC reply before declaring the
 #: worker dead.  Generous: a worker may legitimately spend a while imputing a
@@ -111,24 +115,26 @@ _OUTBOX_RETRY = 0.0005
 #: Payload of an applied marker: the u64 data-plane position.
 _POSITION = struct.Struct("<Q")
 
-#: Everything alive in this process that a forked worker must not keep.  A
-#: worker inherits all of it and closes it first thing (see
-#: :func:`_worker_main`); under ``spawn`` the set starts empty in the child.
-_CLOSE_IN_CHILD: "weakref.WeakSet" = weakref.WeakSet()
+#: Everything alive in this process that a forked worker must not keep, by
+#: registration number.  A worker inherits all of it and closes it first
+#: thing, in registration order (see :func:`_worker_main`); under ``spawn``
+#: the map starts empty in the child.
+_CLOSE_IN_CHILD: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+_REGISTRATIONS = itertools.count()
 
 
 def close_in_child(resource):
     """Register ``resource`` to be closed in every worker forked from here; returns it.
 
-    ``resource`` is anything with ``close()``.  The set holds it weakly: it
-    leaves the set once this process drops it.
+    ``resource`` is anything with ``close()``.  The registry holds it
+    weakly: it leaves once this process drops it.
     What goes in: coordinator-side pipe ends (a worker holding one would
     keep that pipe open after the coordinator dies, and a pipe with a live
     writer never reports EOF — the worker would outlive its coordinator),
     and a gateway's listening and client sockets (see
     :class:`InheritedSocket`).
     """
-    _CLOSE_IN_CHILD.add(resource)
+    _CLOSE_IN_CHILD[next(_REGISTRATIONS)] = resource
     return resource
 
 
@@ -157,6 +163,33 @@ class InheritedSocket:
             os.dup2(null, descriptor)
         finally:
             os.close(null)
+
+
+def decode_results(items) -> List[TickResult]:
+    """Tick results of drained items, in order.
+
+    An item is a result frame as bytes (see :meth:`ClusterWorker.
+    drain_results`), decoded here, or a :class:`~repro.results.TickResult`
+    that travelled inline, kept as it is.
+    """
+    results: List[TickResult] = []
+    for item in items:
+        if isinstance(item, bytes):
+            results.extend(decode_result_frame(item)[1])
+        else:
+            results.append(item)
+    return results
+
+
+def _as_rows(items: List) -> List:
+    """Rows of an emit: push frames are decoded, other items are rows already."""
+    rows: List = []
+    for item in items:
+        if isinstance(item, PushFrame):
+            rows.extend(item.decode()[1])  # dicts, or the matrix's row views
+        else:
+            rows.append(item)
+    return rows
 
 
 # --------------------------------------------------------------------------- #
@@ -208,8 +241,12 @@ def _execute_pending(service, telemetry, pending, buffered, deferred) -> None:
 
 def _worker_main(worker_id: int, conn, durability=None, shm_names=None, signal=None) -> None:  # pragma: no cover - child process
     """Entry point of the worker child process (covered via subprocesses)."""
-    for resource in list(_CLOSE_IN_CHILD):
-        resource.close()  # inherited through fork; see close_in_child()
+    # Inherited through fork (see close_in_child), released in registration
+    # order: a gateway's listening sockets before the connections it
+    # accepted, so a client that sees its connection close can rely on the
+    # port being free.
+    for _, resource in sorted(_CLOSE_IN_CHILD.items()):
+        resource.close()
     service = ImputationService(durability=durability)
     telemetry = WorkerTelemetry(worker_id=worker_id)
     buffered: Dict[str, List[TickResult]] = {}
@@ -528,11 +565,13 @@ class ClusterWorker:
         self._applied = 0
         #: Emits not yet applied: ``(end position, session id, records)``.
         self._unapplied: Deque[Tuple[int, str, int]] = deque()
-        #: Drained results whose applied marker has not arrived yet.
-        self._unconfirmed: List[Tuple[str, List[TickResult]]] = []
+        #: Drained result frames whose applied marker has not arrived yet.
+        self._unconfirmed: List[Tuple[str, bytes]] = []
         self._pipe_messages = 0
         self._pipe_data_bytes = 0
         self._push_ring_stalls = 0
+        #: Whether an emit since the last :meth:`wake` found the ring empty.
+        self._wake_due = False
         parent_conn, child_conn = context.Pipe(duplex=True)
         self._conn = close_in_child(parent_conn)
         self._process = context.Process(
@@ -566,70 +605,107 @@ class ClusterWorker:
             ) from error
         self._pipe_messages += 1
 
-    def push_rows(self, session_id: str, rows: List) -> None:
-        """Data-plane emit: stream rows to the worker, no reply.
+    def push_rows(self, session_id: str, items: List, records: int) -> None:
+        """Data-plane emit: stream ``records`` records to the worker, no reply.
 
-        On the shm transport the rows are laid out as codec frames in the
-        push ring (splitting oversized runs); rows the codec cannot encode
-        fall back to a barrier-stamped pipe push, which the worker applies
-        at exactly the same data-plane position — ordering is preserved
-        either way.  A full ring blocks (and counts the stall) rather than
-        drop; a dead worker raises
-        :class:`~repro.exceptions.WorkerCrashedError`.
+        ``items`` are rows and :class:`~repro.cluster.shm.PushFrame` blocks,
+        in order.  On the shm transport consecutive rows are laid out as
+        codec frames in the push ring (splitting oversized runs) and each
+        block is re-stamped as one frame; an emit the ring cannot take falls
+        back, whole and decoded, to a barrier-stamped pipe push, which the
+        worker applies at exactly the same data-plane position — ordering
+        is preserved either way.  A full ring blocks (and counts the stall)
+        rather than drop; a dead worker raises
+        :class:`~repro.exceptions.WorkerCrashedError`.  A worker that may
+        be asleep is woken by :meth:`wake`, once per batch of emits.
         """
         # A closed pipe means killed or fenced.  A crash not seen yet
         # surfaces at the next RPC or full-ring write: checking the process
         # here would cost a waitpid on every emit.
         if self._conn.closed:
             raise ClusterError(f"worker {self.worker_id} is gone")
-        self._emit(session_id, rows)
+        self._emit(session_id, items)
         # Logged once the rows are on their way: an emit that raised above
         # never reached the worker, so nothing waits for it to apply.
-        self._unapplied.append((self._position, session_id, len(rows)))
+        self._unapplied.append((self._position, session_id, records))
 
-    def _emit(self, session_id: str, rows: List) -> None:
-        if self._push_ring is None:
-            self._pipe_data_bytes += sum(
-                8 * len(row) if hasattr(row, "__len__") else 8 for row in rows
+    def _ring_frames(self, session_id: str, items: List) -> List[List]:
+        """Chunk lists of the push frames carrying ``items``.
+
+        Raises ``ValueError`` (before anything is written) when a row is too
+        wide for one frame: the whole emit must then divert to the pipe, as
+        bailing mid-emit would duplicate rows across planes.
+        """
+        limit = self._push_ring.max_frame_payload
+        frames: List[List] = []
+        rows: List = []
+
+        def encode_rows() -> None:
+            encoded, _ = encode_push_frames(
+                self._position + len(frames), session_id, rows, limit
             )
-            self.send("push", session_id, rows)
-            return
-        try:
-            frames, next_position = encode_push_frames(
-                self._position, session_id, rows,
-                self._push_ring.max_frame_payload,
-            )
-            # Size-check every frame BEFORE writing any: a row too wide to
-            # split below the frame cap must divert the whole emit to the
-            # pipe — bailing mid-emit would duplicate rows across planes.
             if any(
-                sum(memoryview(chunk).nbytes for chunk in chunks)
-                > self._push_ring.max_frame_payload
-                for chunks in frames
+                sum(memoryview(chunk).nbytes for chunk in chunks) > limit
+                for chunks in encoded
             ):
                 raise ValueError("row too wide for a single ring frame")
+            frames.extend(encoded)
+            rows.clear()
+
+        for item in items:
+            if not isinstance(item, PushFrame):
+                rows.append(item)
+                continue
+            if rows:
+                encode_rows()
+            header, block = item.restamped(self._position + len(frames), session_id)
+            if len(header) + len(block) <= limit:
+                frames.append([header, block])
+            else:  # too large for one frame: split as rows
+                rows.extend(_as_rows([item]))
+        if rows:
+            encode_rows()
+        return frames
+
+    def _emit(self, session_id: str, items: List) -> None:
+        if self._push_ring is None:
+            self._send_pipe_push(session_id, _as_rows(items))
+            return
+        try:
+            frames = self._ring_frames(session_id, items)
         except Exception:
-            self._pipe_data_bytes += sum(
-                8 * len(row) if hasattr(row, "__len__") else 8 for row in rows
-            )
-            self.send("push", session_id, rows)
+            self._send_pipe_push(session_id, _as_rows(items))
             self._position += 1
             return
-        was_idle = self._push_ring.is_empty
+        self._wake_due = self._wake_due or self._push_ring.is_empty
         for chunks in frames:
             self._push_ring_stalls += self._push_ring.write(
                 FRAME_PUSH, chunks,
                 alive=self._process.is_alive,
                 describe=f"worker {self.worker_id}",
             )
-        self._position = next_position
-        if was_idle:
-            # The worker may be asleep on its pipe: nudge it.  (An already
-            # backlogged ring means it is awake and draining.)
-            try:
-                self.send("wake")
-            except ClusterError:
-                pass  # frames are durable in the ring; death surfaces later
+        self._position += len(frames)
+
+    def _send_pipe_push(self, session_id: str, rows: List) -> None:
+        self._pipe_data_bytes += sum(
+            8 * len(row) if hasattr(row, "__len__") else 8 for row in rows
+        )
+        self.send("push", session_id, rows)
+
+    def wake(self) -> None:
+        """Nudge the worker if an emit found its push ring empty.
+
+        The worker may be asleep on its pipe; an already backlogged ring
+        means it is awake and draining.  Sending one wake after a batch of
+        emits lets the worker take the whole batch in one pass.
+        """
+        if not self._wake_due:
+            return
+        self._wake_due = False
+        try:
+            self.send("wake")
+        except ClusterError:
+            pass  # frames are durable in the ring; death surfaces later
 
     @property
     def ring_backlog(self) -> bool:
@@ -731,14 +807,17 @@ class ClusterWorker:
     # Result-ring draining (shm transport) and the emit log
     # ------------------------------------------------------------------ #
     def drain_results(self, sink) -> List[Tuple[str, int]]:
-        """Decode every published frame without blocking.
+        """Take every published frame without blocking.
 
-        Results go to ``sink(session_id, results)`` once the applied marker
-        after them arrives, so only confirmed work is handed out: results a
-        worker published and died before confirming are dropped with its
-        unconfirmed records (see :meth:`settle_all`).  Applied markers settle
-        the emit log; returns the ``(session_id, records)`` emits they
-        showed applied.
+        Each result frame is copied out of the ring as bytes, undecoded
+        (:func:`decode_results` turns such items into
+        :class:`~repro.results.TickResult` lists), and goes to
+        ``sink(session_id, frame)`` once the applied marker after it
+        arrives, so only confirmed work is handed out: results a worker
+        published and died before confirming are dropped with its
+        unconfirmed records (see :meth:`settle_all`).  Applied markers
+        settle the emit log; returns the ``(session_id, records)`` emits
+        they showed applied.
         """
         if self._result_ring is None:
             return []
@@ -751,13 +830,13 @@ class ClusterWorker:
             if kind == FRAME_APPLIED:
                 applied = _POSITION.unpack(view)[0]
                 self._result_ring.release()
-                for session_id, results in self._unconfirmed:
-                    sink(session_id, results)
+                for session_id, payload in self._unconfirmed:
+                    sink(session_id, payload)
                 self._unconfirmed.clear()
                 continue
-            session_id, results = decode_result_frame(view)
+            payload = bytes(view)
             self._result_ring.release()
-            self._unconfirmed.append((session_id, results))
+            self._unconfirmed.append((result_frame_session(payload), payload))
         return self._settle(applied)
 
     def wait_applied(

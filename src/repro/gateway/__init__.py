@@ -9,8 +9,9 @@ makes the serving story end-to-end over TCP:
   shared-memory BlockCodec).
 * :mod:`repro.gateway.server` — :class:`GatewayServer`, an asyncio
   front-end multiplexing thousands of connections onto one cluster's
-  pipelined ``push_nowait`` path, streaming results back as the workers
-  apply them, with watermark backpressure.
+  pipelined path, forwarding PUSH blocks and result frames as bytes and
+  streaming results back as the workers apply them, with watermark
+  backpressure.
 * :mod:`repro.gateway.client` — :class:`GatewayClient` (sync) and
   :class:`AsyncGatewayClient` (asyncio core).
 * :mod:`repro.gateway.resilient` — :class:`ResilientGatewayClient` /

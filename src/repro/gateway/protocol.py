@@ -15,8 +15,12 @@ shared-memory BlockCodec (:mod:`repro.cluster.shm`): a PUSH / PUSH_BLOCK
 payload is exactly a shm push frame (client sequence number + session id +
 ``float64`` rows + presence bitmask, so absent-vs-NaN survives the wire
 bit-for-bit), and a RESULT payload is exactly a shm result frame (string
-table + flat numpy columns).  The rare control frames (HELLO, HELLO_OK)
-carry JSON — auditable, versionable, and still pickle-free.
+table + flat numpy columns).  So a gateway in front of a cluster forwards
+both without decoding them: :func:`validate_push_payload` checks a PUSH by
+its header and the block is re-stamped into a worker's push ring, and
+:func:`result_payloads` re-addresses a worker's result frame to the
+client's station.  The rare control frames (HELLO, HELLO_OK) carry JSON —
+auditable, versionable, and still pickle-free.
 
 Robustness is the decoder's job: :class:`FrameDecoder` is *sans-io* — feed
 it whatever bytes arrived, get back complete frames.  A partial frame stays
@@ -29,6 +33,7 @@ there is no way to mis-parse garbage as data without the CRC catching it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 import zlib
@@ -37,10 +42,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cluster.shm import (
+    PushFrame,
     decode_push_frame,
     decode_result_frame,
     encode_push_frames,
     encode_result_frames,
+    readdress_result_frame,
 )
 from ..exceptions import ProtocolError
 
@@ -74,7 +81,9 @@ __all__ = [
     "decode_hello_ok",
     "encode_push_payloads",
     "decode_push_payload",
+    "validate_push_payload",
     "encode_result_payloads",
+    "result_payloads",
     "decode_result_payload",
     "encode_prime",
     "decode_prime",
@@ -166,8 +175,12 @@ class FrameDecoder:
         """Bytes of an incomplete frame currently held back."""
         return len(self._buffer)
 
-    def feed(self, data: bytes) -> List[Tuple[int, bytes]]:
-        """Consume arriving bytes; return the frames they completed."""
+    def feed(self, data) -> List[Tuple[int, bytes]]:
+        """Consume arriving bytes; return the frames they completed.
+
+        ``data`` is copied in before this returns, so it may be a view of a
+        buffer the caller reuses for its next read.
+        """
         if self._poisoned:
             raise ProtocolError(
                 "frame stream already failed; the connection must be closed"
@@ -332,7 +345,7 @@ def encode_push_payloads(
 def _as_bytes(chunk) -> bytes:
     if isinstance(chunk, bytes):
         return chunk
-    return memoryview(chunk).cast("B").tobytes()
+    return memoryview(chunk).tobytes()
 
 
 def decode_push_payload(payload: bytes) -> Tuple[int, str, object]:
@@ -349,11 +362,56 @@ def decode_push_payload(payload: bytes) -> Tuple[int, str, object]:
         raise ProtocolError(f"malformed PUSH payload: {error}") from None
 
 
+def validate_push_payload(payload: bytes) -> PushFrame:
+    """Check a PUSH payload by its header, without decoding its block.
+
+    Raises :class:`~repro.exceptions.ProtocolError` exactly when
+    :func:`decode_push_payload` does; the returned frame carries the
+    payload's sequence number (``position``), station (``session_id``) and
+    record count (``rows``), and lays its block out for a worker's push
+    ring as bytes.
+    """
+    try:
+        return PushFrame(payload)
+    except (struct.error, ValueError, IndexError) as error:
+        raise ProtocolError(f"malformed PUSH payload: {error}") from None
+
+
 def encode_result_payloads(
     station: str, results: Sequence, max_payload: int
 ) -> List[bytes]:
     """Encode one station's tick results as one or more RESULT payloads."""
     return encode_result_frames(station, results, max_payload)
+
+
+def result_payloads(
+    station: str, items: Sequence, max_payload: int
+) -> Tuple[List[bytes], int]:
+    """RESULT payloads carrying one station's results; also their tick count.
+
+    Each item is a worker's result frame as bytes, whose header is
+    re-addressed to ``station`` (its columns are copied as they are), or a
+    :class:`~repro.results.TickResult`, encoded.  Either way the payloads
+    equal what :func:`encode_result_payloads` makes of the same results:
+    a re-addressed frame above ``max_payload`` is decoded and split.
+    """
+    payloads: List[bytes] = []
+    ticks = 0
+    for forwarded, run in itertools.groupby(items, key=lambda item: isinstance(item, bytes)):
+        if not forwarded:
+            results = list(run)
+            payloads += encode_result_payloads(station, results, max_payload)
+            ticks += len(results)
+            continue
+        for frame in run:
+            payload, count = readdress_result_frame(frame, station)
+            if len(payload) > max_payload:
+                results = decode_result_frame(memoryview(payload))[1]
+                payloads += encode_result_payloads(station, results, max_payload)
+            else:
+                payloads.append(payload)
+            ticks += count
+    return payloads, ticks
 
 
 def decode_result_payload(payload: bytes) -> Tuple[str, List]:

@@ -9,19 +9,28 @@ event-loop thread, and nothing there waits for the backend except a FLUSH.
 A station opened via HELLO becomes backend session ``c<conn_id>/<station>``,
 so two clients never share state; RESULT frames carry the client's name.
 
-**Results stream.**  Admitted rows are emitted within ``_EMIT_LINGER``;
-each worker publishes a tick's results and applied position as soon as it
-has imputed it, and wakes the loop through the cluster's ``result_signal``
+**Bytes in, bytes out.**  Every connection is an
+:class:`asyncio.BufferedProtocol`: each read lands in one receive buffer
+the server owns and reuses, and the frame decoder copies out what it
+keeps.  In front of a cluster a PUSH payload is checked by its header and
+admitted undecoded; within ``_EMIT_LINGER`` it is re-stamped into its
+worker's push ring, and each worker is woken at most once per emit.  Each
+worker publishes a tick's results and applied position as soon as it has
+imputed it, and wakes the loop through the cluster's ``result_signal``
 (watched with ``add_reader``); the loop drains the result rings without
-blocking and writes RESULT frames as they land.  An in-process service's
-results are written right after the push.  FLUSH is only a barrier.
+blocking and forwards each result frame as a RESULT payload, its header
+re-addressed to the client's station.  An in-process service's pushes are
+decoded and its results written right after the push.  FLUSH is only a
+barrier.
 
 **Backpressure.**  When the pipelined backlog (admitted, not yet applied)
-or a ring-full stall reaches ``pause_watermark``, every handler stops
+or a ring-full stall reaches ``pause_watermark``, every connection stops
 reading its socket (TCP carries the pressure to the producers) until a
 drain brings the backlog back under; above an optional ``shed_watermark``
-pushes are shed with ERROR(overloaded).  A client killed mid-write costs
-only its own connection: its torn frame dies with its decoder.
+pushes are shed with ERROR(overloaded).  A connection whose client does
+not read its replies stops being read too, until its writes drain.  A
+client killed mid-write costs only its own connection: its torn frame
+dies with its decoder.
 
 **Leases.**  A client presenting a ``token`` in HELLO has its sessions
 detached under it for ``lease_ttl`` seconds when its connection drops,
@@ -43,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from ..cluster.worker import InheritedSocket, close_in_child
+from ..cluster.worker import InheritedSocket, close_in_child, decode_results
 from ..exceptions import (
     GatewayError, ProtocolError, ReproError, RolledBackError, UnavailableError,
 )
@@ -59,8 +68,14 @@ DEFAULT_PAUSE_WATERMARK = 8192
 #: Seconds a disconnected token-bearing client's sessions stay leased.
 DEFAULT_LEASE_TTL = 30.0
 
-#: Socket read size per handler iteration.
-_READ_CHUNK = 1 << 16
+#: Bytes of the receive buffer every connection reads into: asyncio's own
+#: read size, so a large PRIME takes no more reads than asyncio's default
+#: ``recv`` did, without its allocation per read.
+_READ_BUFFER = 256 * 1024
+
+#: Seconds :meth:`GatewayServer.stop` lets closing connections flush what
+#: they still have to write before it aborts them.
+_CLOSE_TIMEOUT = 1.0
 
 #: Results a token client's station keeps for a resume's re-send: the
 #: client's RECEIVED frames trim them, this bounds a client that sends none
@@ -82,15 +97,19 @@ def _retention() -> Deque[TickResult]:
     return deque(maxlen=_RETAIN_LIMIT)
 
 
-class _Connection:
-    """Server-side state of one client connection."""
+class _Connection(asyncio.BufferedProtocol):
+    """Server-side state of one client connection, and its protocol."""
 
-    def __init__(self, conn_id: int, writer: asyncio.StreamWriter) -> None:
-        self.conn_id = conn_id
-        self.writer = writer
-        #: Workers forked while the connection is open close their copy.
-        self.inherited = close_in_child(InheritedSocket(writer.get_extra_info("socket")))
-        self.decoder = protocol.FrameDecoder()
+    def __init__(self, server: "GatewayServer") -> None:
+        self.server = server
+        self.conn_id = server._next_conn_id
+        server._next_conn_id += 1
+        self.transport: Optional[asyncio.Transport] = None
+        self.decoder = protocol.FrameDecoder(server._max_frame_payload)
+        #: Whether the transport asked us to stop writing (its buffer is full).
+        self.writes_paused = False
+        #: Resolved once the transport has closed.
+        self.lost: Optional[asyncio.Future] = None
         #: station -> namespaced backend session id
         self.sessions: Dict[str, str] = {}
         #: station -> shard index reported at HELLO (kept for resumes)
@@ -113,9 +132,52 @@ class _Connection:
         #: lease token presented in this connection's HELLOs (opt-in)
         self.token: Optional[str] = None
 
+    # -- protocol callbacks ------------------------------------------------ #
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.lost = asyncio.get_running_loop().create_future()
+        #: Workers forked while the connection is open close their copy.
+        self.inherited = close_in_child(
+            InheritedSocket(transport.get_extra_info("socket"))
+        )
+        self.server._attach(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.server._receive_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        server = self.server
+        try:
+            frames = self.decoder.feed(server._receive_buffer[:nbytes])
+            for kind, payload in frames:
+                if server._connections.get(self.conn_id) is not self:
+                    break  # fenced: its client resumes elsewhere
+                server._apply(self, kind, payload)
+        except ProtocolError as error:
+            # The stream cannot be resynchronised: report and close.
+            server._protocol_errors += 1
+            self.error(protocol.ERR_PROTOCOL, str(error))
+            server._forget_connection(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        try:
+            self.server._forget_connection(self)
+        finally:
+            self.server._live.discard(self)
+            self.lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self.writes_paused = True
+        self.server._update_reading(self)
+
+    def resume_writing(self) -> None:
+        self.writes_paused = False
+        self.server._update_reading(self)
+
+    # -- replies ----------------------------------------------------------- #
     def send(self, kind: int, payload: bytes = b"") -> None:
         """Queue one frame on the socket (whole frames, never interleaved)."""
-        self.writer.write(protocol.encode_frame(kind, payload))
+        self.transport.write(protocol.encode_frame(kind, payload))
 
     def error(self, code: int, message: str, ref: Optional[Tuple] = None) -> None:
         """Send an ERROR; ``ref=(station, seq)`` names the PUSH it is about."""
@@ -204,8 +266,15 @@ class GatewayServer:
         self._server: Optional[asyncio.base_events.Server] = None
         #: Registry entries of the listening sockets (see close_in_child).
         self._inherited: List[InheritedSocket] = []
-        self._gate: Optional[asyncio.Event] = None
+        #: The read gate: while closed, no connection reads its socket.
+        self._gate_open = True
+        #: Every read of every connection lands here; the frame decoder
+        #: copies out what it keeps before the next read reuses it.
+        self._receive_buffer = memoryview(bytearray(_READ_BUFFER))
         self._connections: Dict[int, _Connection] = {}
+        #: Connections whose transport has not closed yet (fenced and
+        #: forgotten ones included), awaited on stop.
+        self._live: Set[_Connection] = set()
         self._session_owner: Dict[str, _Connection] = {}
         #: Detached (leased) sessions: session id -> lease, and the resume
         #: index (token, station) -> lease over the same objects.
@@ -213,8 +282,6 @@ class GatewayServer:
         self._lease_index: Dict[Tuple[str, str], _Lease] = {}
         self._next_conn_id = 0
         self._closed = False
-        #: Live connection-handler tasks, awaited briefly on stop.
-        self._handler_tasks: Set[asyncio.Task] = set()
         #: Records admitted per backend session (ACK accounting).
         self._admitted: Dict[str, int] = {}
         #: Connections with admitted payloads still awaiting their ACK.
@@ -308,10 +375,9 @@ class GatewayServer:
         """Bind the listen socket and start watching the result signal."""
         if self._server is not None:
             raise GatewayError("the gateway server is already running")
-        self._gate = asyncio.Event()
-        self._gate.set()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
+        self._gate_open = True
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self._host, self._port
         )
         self._port = self._server.sockets[0].getsockname()[1]
         self._inherited = [
@@ -327,20 +393,22 @@ class GatewayServer:
             return
         self._closed = True
         self._server.close()
-        await self._server.wait_closed()
-        self._server = None
         self._inherited = []
         if self._signal is not None:
             asyncio.get_running_loop().remove_reader(self._signal)
         for connection in list(self._connections.values()):
-            connection.writer.close()
-        self._connections.clear()
+            self._forget_connection(connection)
         self._session_owner.clear()
-        if self._handler_tasks:
-            # Let the handlers see their closed sockets and unwind on their
-            # own: cancelling a task parked in a stream read makes asyncio
-            # log a spurious CancelledError at loop teardown.
-            await asyncio.wait(list(self._handler_tasks), timeout=1.0)
+        if self._live:
+            # Closing transports write out what they hold first; a peer
+            # that reads nothing must not hold the stop up.
+            await asyncio.wait([c.lost for c in self._live], timeout=_CLOSE_TIMEOUT)
+            for connection in list(self._live):
+                connection.transport.abort()
+            if self._live:
+                await asyncio.wait([c.lost for c in self._live])
+        await self._server.wait_closed()
+        self._server = None
         # Leases do not outlive the server: remove their backend sessions.
         for lease in list(self._detached.values()):
             try:
@@ -427,46 +495,32 @@ class GatewayServer:
     # ------------------------------------------------------------------ #
     # Connection handling
     # ------------------------------------------------------------------ #
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _Connection(self._next_conn_id, writer)
-        self._next_conn_id += 1
-        connection.decoder = protocol.FrameDecoder(self._max_frame_payload)
+    def _attach(self, connection: _Connection) -> None:
+        """Register a new connection (see :meth:`_Connection.connection_made`)."""
         self._connections[connection.conn_id] = connection
-        task = asyncio.current_task()
-        if task is not None:
-            self._handler_tasks.add(task)
-            task.add_done_callback(self._handler_tasks.discard)
+        self._live.add(connection)
         self._connections_total += 1
         self._connections_peak = max(
             self._connections_peak, len(self._connections)
         )
-        try:
-            while not self._closed:
-                # Backpressure: while the gate is closed, no handler reads —
-                # kernel receive buffers fill and TCP stalls the producers.
-                await self._gate.wait()
-                data = await reader.read(_READ_CHUNK)
-                if not data:
-                    break  # orderly EOF
-                try:
-                    frames = connection.decoder.feed(data)
-                except ProtocolError as error:
-                    self._protocol_errors += 1
-                    connection.error(protocol.ERR_PROTOCOL, str(error))
-                    break  # the stream cannot be resynchronised
-                for kind, payload in frames:
-                    if self._connections.get(connection.conn_id) is not connection:
-                        break  # fenced: its client resumes elsewhere
-                    self._apply(connection, kind, payload)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass  # client died mid-write; its torn frame dies with it
-        except asyncio.CancelledError:
-            raise
-        finally:
-            self._forget_connection(connection)
+        self._update_reading(connection)
+
+    def _update_reading(self, connection: _Connection) -> None:
+        """Read a connection's socket iff the gate is open and its writes flow.
+
+        While closed, unread bytes fill the kernel receive buffers and TCP
+        stalls the producers; a client that does not read its replies stalls
+        only its own connection.
+        """
+        if self._gate_open and not connection.writes_paused:
+            connection.transport.resume_reading()
+        else:
+            connection.transport.pause_reading()
+
+    def _set_gate(self, open_: bool) -> None:
+        self._gate_open = open_
+        for connection in list(self._connections.values()):
+            self._update_reading(connection)
 
     def _forget_connection(self, connection: _Connection) -> None:
         """Detach (lease) a gone token client's sessions; remove the rest.
@@ -489,10 +543,7 @@ class GatewayServer:
                 except ReproError:
                     pass  # already gone (e.g. backend shut down first)
             connection.sessions.clear()
-        try:
-            connection.writer.close()
-        except Exception:
-            pass
+        connection.transport.close()
 
     def _detach_sessions(self, connection: _Connection) -> None:
         """Move every session of a token-bearing connection onto leases."""
@@ -547,13 +598,13 @@ class GatewayServer:
         """
         self._connections.pop(connection.conn_id, None)
         self._detach_sessions(connection)
-        sock = connection.writer.get_extra_info("socket")
+        sock = connection.transport.get_extra_info("socket")
         try:
             if sock is not None:
                 sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass  # the peer is gone already
-        connection.writer.close()
+        connection.transport.close()
 
     def _replayable(self, connection: _Connection) -> bool:
         return connection.token is not None and self._lease_ttl > 0
@@ -755,19 +806,24 @@ class GatewayServer:
         connection.send(protocol.FRAME_PRIME_OK)
 
     def _apply_push(self, connection: _Connection, payload: bytes) -> None:
-        seq, station, part = protocol.decode_push_payload(payload)
+        if self._pipelined:
+            # Checked by its header and admitted as bytes: only the worker
+            # that imputes the block decodes it.
+            frame = protocol.validate_push_payload(payload)
+            seq, station, records = frame.position, frame.session_id, frame.rows
+        else:
+            seq, station, (_, block) = protocol.decode_push_payload(payload)
+            records = len(block)
         ref = (station, seq)
         session_id = connection.sessions.get(station)
         if session_id is None:
             connection.error(protocol.ERR_SESSION, _NO_SESSION.format(station), ref)
             return
-        kind, value = part
-        rows = list(value) if kind == "rows" else [value[i] for i in range(len(value))]
         expected = connection.next_seq.get(station, 0)
         if seq < expected:
             # An at-least-once replay of a payload this server already
             # admitted: drop it silently (exactly-once dedup, not an error).
-            self._duplicate_records_dropped += len(rows)
+            self._duplicate_records_dropped += records
             return
         if seq > expected:
             connection.error(
@@ -777,36 +833,36 @@ class GatewayServer:
                 ref,
             )
             return
-        if connection.skip:
-            skip = connection.skip.pop(station, 0)
-            rows, value = rows[skip:], value[skip:]
+        skip = connection.skip.pop(station, 0) if connection.skip else 0
+        records = max(records - skip, 0)
         backlog = 0 if self._shed_watermark is None else self._backlog()
         if (
             self._shed_watermark is not None
-            and backlog + len(rows) > self._shed_watermark
+            and backlog + records > self._shed_watermark
         ):
             # Shedding is a *decision*, not a transport failure: the frame
             # consumes its sequence slot so the stream keeps flowing (and a
             # resilient client's replay of it dedups instead of re-applying
             # records the server deliberately refused).
             connection.next_seq[station] = seq + 1
-            self._shed_records += len(rows)
+            self._shed_records += records
             self._await_ack(connection, station, session_id, seq + 1, 0)
             connection.error(
                 protocol.ERR_OVERLOADED,
-                f"push of {len(rows)} records shed: backlog "
+                f"push of {records} records shed: backlog "
                 f"{backlog} >= shed watermark {self._shed_watermark}",
                 ref,
             )
             return
         try:
-            if self._pipelined:
-                for row in rows:
+            if not self._pipelined:
+                results = self._backend.push_block(session_id, block[skip:])
+            elif skip:
+                # A crash rollback kept the payload's leading records.
+                for row in frame.decode()[1][skip:]:
                     self._backend.push_nowait(session_id, row)
             else:
-                results = self._backend.push_block(
-                    session_id, value if kind == "matrix" else rows
-                )
+                self._backend.push_frame_nowait(session_id, frame)
         except RolledBackError:
             if not self._rolled_back(connection, [session_id]):
                 self._apply_push(connection, payload)  # rewound in place
@@ -814,7 +870,7 @@ class GatewayServer:
         except UnavailableError as error:
             # The shard's circuit breaker is open: refuse fast with a retry
             # hint instead of hanging; healthy shards keep serving.
-            self._unavailable_records += len(rows)
+            self._unavailable_records += records
             connection.send(
                 protocol.FRAME_ERROR,
                 protocol.encode_unavailable(error.retry_after, str(error), ref),
@@ -824,10 +880,10 @@ class GatewayServer:
             connection.error(protocol.ERR_SESSION, str(error), ref)
             return
         connection.next_seq[station] = seq + 1
-        self._records_in += len(rows)
-        self._admitted[session_id] = self._admitted.get(session_id, 0) + len(rows)
+        self._records_in += records
+        self._admitted[session_id] = self._admitted.get(session_id, 0) + records
         self._emit_soon()
-        self._await_ack(connection, station, session_id, seq + 1, len(rows))
+        self._await_ack(connection, station, session_id, seq + 1, records)
         if not self._pipelined:
             if results:
                 self._send_results(connection, station, results)
@@ -835,11 +891,11 @@ class GatewayServer:
         backlog = self._backend.pipelined_backlog()
         self._pending_peak = max(self._pending_peak, backlog)
         stalled = self._backend_stalls() > self._stalls_seen
-        if (backlog >= self._pause_watermark or stalled) and self._gate.is_set():
+        if (backlog >= self._pause_watermark or stalled) and self._gate_open:
             # The serving tier runs behind: stop reading until a drain
             # brings the backlog back under the watermark.
             self._pause_events += 1
-            self._gate.clear()
+            self._set_gate(False)
 
     def _apply_flush(self, connection: _Connection, payload: bytes) -> None:
         """FLUSH is a barrier: FLUSH_OK follows every earlier result and ACK."""
@@ -887,30 +943,32 @@ class GatewayServer:
         finally:
             self._send_acks()
 
-    def _deliver(self, gathered: Optional[Dict[str, List[TickResult]]] = None) -> None:
-        """Write the results that landed, ACK what was applied, reopen the gate."""
+    def _deliver(self, gathered: Optional[Dict[str, list]] = None) -> None:
+        """Write the results that landed, ACK what was applied, reopen the gate.
+
+        ``gathered`` maps session ids to result items: worker result frames
+        as bytes (from ``poll_results``) or :class:`TickResult` objects.
+        """
         if gathered is None:
             gathered = self._backend.poll_results()
-        for session_id, results in gathered.items():
+        for session_id, items in gathered.items():
             connection = self._session_owner.get(session_id)
             if connection is None:
                 lease = self._detached.get(session_id)
                 if lease is not None:
                     # Detached but leased: buffer for the resume.
-                    lease.results.extend(results)
+                    lease.results.extend(decode_results(items))
                 continue  # otherwise the owner is gone; results die
-            self._send_results(connection, session_id.split("/", 1)[1], results)
+            self._send_results(connection, session_id.split("/", 1)[1], items)
         self._send_acks()
-        if not self._gate.is_set() and self._backlog() < self._pause_watermark:
+        if not self._gate_open and self._backlog() < self._pause_watermark:
             self._stalls_seen = self._backend_stalls()
-            self._gate.set()
+            self._set_gate(True)
 
-    def _send_results(
-        self, connection: _Connection, station: str, results: List[TickResult]
-    ) -> None:
+    def _send_results(self, connection: _Connection, station: str, items: list) -> None:
         try:
-            payloads = protocol.encode_result_payloads(
-                station, results, self._max_frame_payload
+            payloads, ticks = protocol.result_payloads(
+                station, items, self._max_frame_payload
             )
         except Exception as error:
             message = f"results for {station!r} cannot be encoded: {error}"
@@ -918,9 +976,11 @@ class GatewayServer:
             return
         for result_payload in payloads:
             connection.send(protocol.FRAME_RESULT, result_payload)
-        self._results_out += len(results)
+        self._results_out += ticks
         if connection.token is not None:
-            connection.retained.setdefault(station, _retention()).extend(results)
+            connection.retained.setdefault(station, _retention()).extend(
+                decode_results(items)
+            )
 
     def _await_ack(
         self, connection: _Connection, station: str, session_id: str, seq: int,

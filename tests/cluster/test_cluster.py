@@ -214,6 +214,24 @@ class TestPipelinedIngestion:
             cluster.push_nowait("s", [1.0, 2.0, 3.0])  # wrong width
             with pytest.raises(ConfigurationError):
                 cluster.flush()
+        # A collect forced mid-stream by the in-flight bound finds the
+        # failure too; the push that forced it has its own row in flight,
+        # so the failure waits for the next flush instead of failing it.
+        good = [[1.0, 2.0], [NAN, 3.0], [4.0, NAN], [5.0, 6.0], [NAN, NAN], [7.0, 8.0]]
+        service = ImputationService()
+        service.create_session("s", method="locf", series_names=["x", "y"])
+        expected = {"s": [r for row in good for r in service.push("s", row)]}
+        with ClusterCoordinator(num_workers=1, max_inflight=4, linger_records=1) as cluster:
+            cluster.create_session("s", method="locf", series_names=["x", "y"])
+            cluster.push_nowait("s", [1.0])  # wrong width
+            for row in good:
+                cluster.push_nowait("s", row)
+            with pytest.raises(ConfigurationError):
+                cluster.flush()
+            recovered = cluster.flush()  # each failure is raised once
+            # Every record was processed, the rejected one included.
+            assert cluster.applied_records("s") == 1 + len(good)
+        assert results_identical(recovered, expected)
 
     def test_results_survive_a_deferred_error_on_the_same_worker(self):
         """A bad record must not strand other sessions' results inside the

@@ -7,6 +7,7 @@ mid-write, garbage bytes, overload — and each must leave the server
 serving everyone else.
 """
 
+import asyncio
 import socket
 import struct
 
@@ -24,6 +25,7 @@ from repro.gateway import (
     run_loadgen,
 )
 from repro.gateway import protocol
+from repro.gateway.server import _Connection
 from repro.service import ImputationService
 from tests.timing import wait_until
 
@@ -236,6 +238,64 @@ class TestBackpressure:
         assert stats["records_in"] == 2 * len(spec.rows)
         assert stats["pending_records_peak"] >= 24
         assert stats["pending_records"] == 0
+
+
+class _StubTransport:
+    """The transport surface the gateway's connections use, recorded."""
+
+    def __init__(self) -> None:
+        self.reading = True
+        self.closed = False
+
+    def get_extra_info(self, name, default=None):
+        return _NoSocket() if name == "socket" else default
+
+    def pause_reading(self) -> None:
+        self.reading = False
+
+    def resume_reading(self) -> None:
+        self.reading = True
+
+    def write(self, data) -> None:
+        pass
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class _NoSocket:
+    def fileno(self) -> int:
+        return -1  # nothing for a forked worker to release
+
+
+class TestReadGate:
+    """A connection reads only while the read gate is open AND its own
+    writes flow: the two pauses combine, and neither reopens the other."""
+
+    def test_gate_and_write_pausing_combine(self):
+        async def scenario(service):
+            server = GatewayServer(service)
+            slow, other = _StubTransport(), _StubTransport()
+            slow_connection = _Connection(server)
+            slow_connection.connection_made(slow)
+            _Connection(server).connection_made(other)
+            # A client that does not read its replies stalls only itself.
+            slow_connection.pause_writing()
+            assert (slow.reading, other.reading) == (False, True)
+            # Reopening the gate leaves a write-paused connection unread.
+            server._set_gate(False)
+            assert (slow.reading, other.reading) == (False, False)
+            server._set_gate(True)
+            assert (slow.reading, other.reading) == (False, True)
+            # Resumed writes leave a connection unread while the gate is shut.
+            server._set_gate(False)
+            slow_connection.resume_writing()
+            assert (slow.reading, other.reading) == (False, False)
+            server._set_gate(True)
+            assert (slow.reading, other.reading) == (True, True)
+
+        with ImputationService() as service:
+            asyncio.run(scenario(service))
 
 
 class TestHostileClients:

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.shm import decode_push_frame, encode_result_frames
+from repro.core.tkcm import ImputationResult
 from repro.exceptions import ProtocolError
 from repro.gateway import protocol
 from repro.results import SeriesEstimate, TickResult
@@ -198,6 +200,110 @@ class TestPushPayloads:
             protocol.decode_push_payload(payloads[0][: len(payloads[0]) // 2])
 
 
+#: Rows of one PUSH payload: a positional block, or mapping rows (a named
+#: block with a presence mask; absent keys and NaN values both occur).
+push_rows = st.one_of(
+    st.integers(min_value=0, max_value=4).flatmap(
+        lambda width: st.lists(
+            st.lists(finite_or_nan, min_size=width, max_size=width),
+            min_size=1, max_size=6,
+        )
+    ),
+    st.lists(
+        st.dictionaries(st.sampled_from(["a", "b", "ç"]), finite_or_nan, max_size=3),
+        min_size=1, max_size=6,
+    ),
+)
+
+
+def _accepts(check, payload) -> bool:
+    try:
+        check(payload)
+    except ProtocolError:
+        return False
+    return True
+
+
+def _push_payload(seq, station, rows) -> bytes:
+    (payload,), _ = protocol.encode_push_payloads(seq, station, rows, MAX_PAYLOAD)
+    return payload
+
+
+def _same_part(got, expected) -> bool:
+    """Bit-exact equality of decoded blocks (NaN, -0.0, absent keys)."""
+    (kind, value), (expected_kind, expected_value) = got, expected
+    if kind != expected_kind:
+        return False
+    if kind == "matrix":
+        return value.shape == expected_value.shape and value.tobytes() == expected_value.tobytes()
+    return [
+        {key: struct.pack("<d", cell) for key, cell in row.items()} for row in value
+    ] == [
+        {key: struct.pack("<d", cell) for key, cell in row.items()} for row in expected_value
+    ]
+
+
+class TestForwardedPushPayloads:
+    """The gateway admits PUSH payloads checked by their header alone and
+    re-stamps them into a worker's push ring, where ``_pump`` decodes them
+    outside any ``try``: the check must accept exactly what the decoder
+    accepts, and a re-stamped frame must decode to the very same block."""
+
+    @given(payload=st.binary(max_size=96))
+    @settings(max_examples=300, deadline=None)
+    def test_header_check_agrees_with_decoder_on_arbitrary_bytes(self, payload):
+        assert _accepts(protocol.validate_push_payload, payload) == _accepts(
+            protocol.decode_push_payload, payload
+        )
+
+    @given(
+        rows=push_rows,
+        seq=st.integers(min_value=0, max_value=2 ** 64 - 1),
+        station=st.text(max_size=8),
+        cut=st.integers(min_value=0, max_value=10 ** 9),
+        flip=st.integers(min_value=0, max_value=10 ** 9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_header_check_agrees_with_decoder_on_damaged_payloads(
+        self, rows, seq, station, cut, flip
+    ):
+        payload = _push_payload(seq, station, rows)
+        flipped = bytearray(payload)
+        flipped[flip % len(payload)] ^= 1 << (flip % 8)
+        for damaged in (payload, payload[: cut % len(payload)], bytes(flipped)):
+            assert _accepts(protocol.validate_push_payload, damaged) == _accepts(
+                protocol.decode_push_payload, damaged
+            )
+
+    @given(
+        rows=push_rows,
+        seq=st.integers(min_value=0, max_value=2 ** 64 - 1),
+        station=st.text(max_size=8),
+        flip=st.one_of(st.none(), st.integers(min_value=0, max_value=10 ** 9)),
+        position=st.integers(min_value=0, max_value=2 ** 64 - 1),
+        session_id=st.text(max_size=24),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_restamped_frame_decodes_to_the_same_block(
+        self, rows, seq, station, flip, position, session_id
+    ):
+        payload = _push_payload(seq, station, rows)
+        if flip is not None:  # any damaged payload that is still accepted
+            flipped = bytearray(payload)
+            flipped[flip % len(payload)] ^= 1 << (flip % 8)
+            payload = bytes(flipped)
+        if not _accepts(protocol.validate_push_payload, payload):
+            return
+        frame = protocol.validate_push_payload(payload)
+        seq, station, expected = protocol.decode_push_payload(payload)
+        assert (frame.position, frame.session_id) == (seq, station)
+        assert frame.rows == len(expected[1])
+        ring_frame = b"".join(bytes(chunk) for chunk in frame.restamped(position, session_id))
+        decoded_position, decoded_id, part = decode_push_frame(memoryview(ring_frame))
+        assert (decoded_position, decoded_id) == (position, session_id)
+        assert _same_part(part, expected)
+
+
 class TestControlPayloads:
     def test_hello_roundtrip(self):
         payload = protocol.encode_hello(
@@ -259,28 +365,54 @@ class TestControlPayloads:
         with pytest.raises(ProtocolError):
             protocol.decode_token(b"\x01")
 
-    def test_result_payload_roundtrip_bit_exact(self):
+    @given(
+        station=st.text(max_size=12),
+        session_id=st.text(max_size=24),
+        split=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_result_payload_roundtrip_bit_exact(self, station, session_id, split):
         nan = float("nan")
+        detail = ImputationResult(
+            series="x", value=1.5, method="tkcm", reference_names=("y", "zé"),
+            anchor_indices=(3, 17), anchor_values=(1.25, nan),
+            dissimilarities=(0.5, -0.0), epsilon=2.0,
+        )
         results = [
             TickResult(7, {
-                "x": SeriesEstimate("x", 1.5, "tkcm"),
+                "x": SeriesEstimate("x", 1.5, "tkcm", detail),
                 "y": SeriesEstimate("y", nan, "online"),
             }),
             TickResult(9, {"x": SeriesEstimate("x", -0.0, "fallback")}),
         ]
-        payloads = protocol.encode_result_payloads("st", results, MAX_PAYLOAD)
+        payloads = protocol.encode_result_payloads(station, results, MAX_PAYLOAD)
         decoded = []
         for payload in payloads:
-            station, ticks = protocol.decode_result_payload(payload)
-            assert station == "st"
+            decoded_station, ticks = protocol.decode_result_payload(payload)
+            assert decoded_station == station
             decoded.extend(ticks)
         assert [t.index for t in decoded] == [7, 9]
         assert decoded[0]["x"].value == 1.5
         assert decoded[0]["x"].method == "tkcm"
+        assert decoded[0]["x"].detail.reference_names == ("y", "zé")
         assert math.isnan(decoded[0]["y"].value)
         assert struct.pack("<d", decoded[1]["x"].value) == struct.pack("<d", -0.0)
         with pytest.raises(ProtocolError, match="malformed RESULT"):
             protocol.decode_result_payload(payloads[0][:5])
+        # A worker's result frame, re-addressed to the station, is exactly
+        # the payload the gateway would encode from the decoded results
+        # (split the same way when it outgrows the frame limit).
+        frame = encode_result_frames(session_id, results, MAX_PAYLOAD)[0]
+        limit = len(payloads[0]) - 1 if split else MAX_PAYLOAD
+        forwarded, ticks = protocol.result_payloads(station, [frame], limit)
+        assert forwarded == protocol.encode_result_payloads(station, results, limit)
+        assert ticks == len(results)
+        # Ticks that travelled inline are encoded in order around frames.
+        mixed, ticks = protocol.result_payloads(station, [frame, results[1], frame], limit)
+        assert mixed == forwarded + protocol.encode_result_payloads(
+            station, results[1:], limit
+        ) + forwarded
+        assert ticks == 2 * len(results) + 1
 
 
 class TestLeasePayloads:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import DurabilityConfig, DurabilityPolicy
+from repro.cluster import worker
 from repro.cluster.bench import results_identical
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.durability.store import CheckpointStore
@@ -66,10 +67,19 @@ async def _hello(client, station, token=None, **kwargs):
     return protocol.decode_hello_ok(reply)
 
 
-def test_results_reach_a_client_that_never_flushes():
+def test_results_reach_a_client_that_never_flushes(monkeypatch):
+    """...through a gateway that decodes neither the pushes nor the results:
+    it forwards both as bytes (the client decodes its RESULT frames)."""
     spec = _spec()
     expected = _reference(spec)
     with ClusterCoordinator(num_workers=2) as cluster:
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decoded on the streamed path")
+
+        # The workers are forked already: only the gateway side is patched.
+        monkeypatch.setattr(protocol, "decode_push_payload", refuse)
+        monkeypatch.setattr(worker, "decode_result_frame", refuse)
         server = GatewayServer(cluster)
 
         async def scenario():
