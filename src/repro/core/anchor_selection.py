@@ -20,6 +20,7 @@ is anchored at window index ``l - 1 + j``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -102,38 +103,76 @@ def select_anchors_dp(
         ``l`` in candidate index to be non-overlapping.
     bound_hint:
         Optional *feasible-total* upper bound supplied by the caller: the
-        dissimilarity sum of some known feasible (pairwise non-overlapping)
-        selection under **this** ``D``.  Streaming callers derive it from
-        the previous tick's anchors — anchors rarely change tick-to-tick,
-        so the hint is usually near-optimal and prunes far harder than the
-        cheap chunk bound computed here.  Any genuine feasible total keeps
-        the DP exact (including tie-breaking); an invalid/infinite hint is
-        ignored.
+        dissimilarity sum, added up in floating point in any order, of
+        some feasible (pairwise non-overlapping) selection under **this**
+        ``D``.  Streaming callers derive it from the previous tick's
+        anchors, which are usually still optimal, so it prunes far harder
+        than the cheap chunk bound computed here.  Any such total keeps the
+        DP exact (including tie-breaking); an infinite hint is ignored.
 
     Returns
     -------
     AnchorSelection
         The ``k`` candidates minimising the dissimilarity sum.
+
+    Notes
+    -----
+    With at least ``_PRUNE_THRESHOLD`` candidates the DP runs only over the
+    candidates ``j`` with ``D[j] <= B - S + 4 k eps B``, where ``B`` is the
+    bound (the hint, else the chunk bound of :func:`_feasible_total_bound`),
+    ``S`` is the sum of the ``k - 1`` smallest entries of ``D`` and ``eps``
+    is the machine epsilon.  The result is identical to the dense DP's:
+
+    1. *Keeping the dense DP's selection keeps its result.*  Row ``i`` of
+       the DP holds, for every prefix of candidates, the minimum over
+       feasible ``i``-selections of their sum added up in index order:
+       floating-point addition is monotone, so the minimum commutes with
+       adding ``D[j]``.  Over a subset of the candidates those minima can
+       only grow.  Let ``j_1 < ... < j_k`` be the dense backtrack's
+       selection; each prefix sum it passes through is realised by its own
+       members ``j_1 .. j_i``, so if they all survive the pruned DP holds
+       the same values there.  At level ``i`` the dense backtrack picks the
+       *first* candidate attaining the prefix minimum; every candidate
+       before it costs strictly more in the dense DP, hence at least as
+       much more in the pruned one, and the surviving ``j_i`` attains the
+       same minimum.  So the pruned backtrack picks the same ``j_i`` —
+       ties and equal totals included — and moves to the same prefix.
+    2. *The filter keeps the dense DP's selection.*  Let ``T`` be that
+       selection, ``F`` its total as the DP adds it up and ``u = eps / 2``
+       the unit roundoff.  In real arithmetic, for ``j`` in ``T``,
+       ``D[j] + S <= sum(T)``: the other ``k - 1`` members of ``T`` sum to
+       at least the ``k - 1`` smallest entries.  ``F`` is the minimum over
+       feasible selections of their index-order float sum, so ``F`` is at
+       most the bound's selection summed in index order; each float sum of
+       ``k`` non-negative terms lies within a factor ``(1 +- u)^(k-1)`` of
+       the real sum, so ``sum(T) <= B (1 + 3(k - 1)u + O(u^2))``.  The same
+       holds for ``S`` as computed (``k - 2`` additions), and ``S <= B``
+       up to the same factor.  Hence ``D[j] <= (B - S) + (4k - 5)u B``, and
+       the rounded ``B - S`` plus the margin ``4 k eps B = 8 k u B``
+       exceeds that after its own two roundings (each at most ``u B``).
+       The margin is needed: when the bound *is* the optimum (the usual
+       case for a streaming hint) and the optimum holds the ``k - 1``
+       smallest entries, ``D[j] = B - S`` exactly in real arithmetic, and
+       a rounding the wrong way would drop ``j``.  Infinite entries never
+       survive a finite bound, and a finite bound means a finite optimum.
     """
     d = _validate_inputs(dissimilarities, k, pattern_length)
     l = int(pattern_length)
     num_candidates = len(d)
 
-    # Exact candidate pruning for long windows: every member of an optimal
-    # selection has D[j] <= optimal total <= the total of *any* feasible
-    # selection (dissimilarities are non-negative), so candidates above a
-    # cheap greedy solution's total can never be picked and may be dropped
-    # without changing the result (see _select_anchors_dp_pruned for why the
-    # tie-breaking is also unaffected).
     if num_candidates >= _PRUNE_THRESHOLD:
-        if bound_hint is not None and np.isfinite(bound_hint):
+        if bound_hint is not None and math.isfinite(bound_hint):
             bound = float(bound_hint)
         else:
             bound = _feasible_total_bound(d, k, l)
-        if bound is not None and np.isfinite(bound):
-            keep = d <= bound
-            if np.count_nonzero(keep) < num_candidates:
-                return _select_anchors_dp_pruned(d, np.flatnonzero(keep), k, l)
+        if bound is not None and math.isfinite(bound):
+            # Any selection holding j costs at least D[j] plus the k - 1
+            # smallest entries (see Notes for the proof and the margin).
+            smallest = sum(np.partition(d, k - 2)[: k - 1].tolist()) if k > 1 else 0.0
+            threshold = bound - smallest + 4 * k * _EPS * bound
+            positions = np.flatnonzero(d <= threshold)
+            if len(positions) < num_candidates:
+                return _select_anchors_dp_pruned(d, positions, k, l)
 
     # M[i][j]: minimal sum choosing i candidates among the first j (1-based j).
     # Column j = 0 means "no candidates available".  The row-wise recurrence
@@ -182,6 +221,8 @@ def select_anchors_dp(
 #: Candidate count below which pruning is not worth the bound computation.
 _PRUNE_THRESHOLD = 512
 
+_EPS = float(np.finfo(float).eps)
+
 
 def _feasible_total_bound(d: np.ndarray, k: int, l: int) -> Optional[float]:
     """Total dissimilarity of a cheap feasible selection (an upper bound).
@@ -212,43 +253,37 @@ def _select_anchors_dp_pruned(
 ) -> AnchorSelection:
     """The DP of :func:`select_anchors_dp` restricted to surviving candidates.
 
-    ``positions`` holds the original candidate indices (sorted) whose
-    dissimilarity is within the feasible-total bound.  The recurrence is the
-    same, with the "first j candidates" axis replaced by "first t survivors"
-    and the overlap predecessor ``max(j - l, 0)`` replaced by the number of
-    survivors at least ``l`` positions earlier (one ``searchsorted``).
-
-    Identical results to the dense DP, including ties: every pruned
-    candidate's take cost exceeds the optimal total, while every cell the
-    dense backtrack visits holds a partial optimal sum (``<=`` the optimal
-    total, as dissimilarities are non-negative) — so pruned candidates never
-    attain the prefix minima the backtrack compares against, and the argmin's
-    first-occurrence tie-breaking sees the same candidates in the same order.
+    ``positions`` holds the original candidate indices (sorted) that passed
+    the filter.  The recurrence is the same, with the "first j candidates"
+    axis replaced by "first t survivors" and the overlap predecessor
+    ``max(j - l, 0)`` replaced by the number of survivors at least ``l``
+    positions earlier (one ``searchsorted``).  Why the result equals the
+    dense DP's, ties included, is proved in :func:`select_anchors_dp`.
     """
     values = d[positions]
     count = len(values)
     # predecessors[t]: number of survivors with original index <= positions[t] - l.
     predecessors = np.searchsorted(positions, positions - l, side="right")
     m = np.empty((k + 1, count + 1))
-    m[0, :] = 0.0
+    m[0] = 0.0
     m[1:, 0] = np.inf
     take = np.empty((k + 1, count))
     for i in range(1, k + 1):
-        np.add(values, m[i - 1, predecessors], out=take[i])
+        np.add(values, m[i - 1].take(predecessors), out=take[i])
         np.minimum.accumulate(take[i], out=m[i, 1:])
 
-    total = m[k, count]
-    if not np.isfinite(total):
+    if not m[k, count] < math.inf:
         raise InsufficientDataError(
             f"no feasible selection of {k} non-overlapping patterns exists"
         )
 
+    index, before = positions.tolist(), predecessors.tolist()
     selected: List[int] = []
     t = count
     for i in range(k, 0, -1):
-        t = int(np.argmin(take[i, :t])) + 1
-        selected.append(int(positions[t - 1]))
-        t = int(predecessors[t - 1])
+        t = int(take[i, :t].argmin()) + 1
+        selected.append(index[t - 1])
+        t = before[t - 1]
     selected.reverse()
 
     return _build_selection(selected, d, l)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..config import TKCMConfig
 from ..exceptions import (
@@ -257,9 +258,9 @@ class TKCMImputer:
         (:class:`_BatchWindows`) and every missing value is imputed in stream
         order — row by row, and within a row in series registration order —
         with each imputed value written back before the next one is computed.
-        Nothing is rebuilt per call: only the cross terms of the L2
-        dissimilarity are, as one matrix product per reference set covering
-        every row of the block.
+        Nothing is rebuilt per call: the window store and its chained cross
+        terms persist between calls, so how the stream is cut into blocks
+        changes no imputation, not even in the last bit of a dissimilarity.
 
         Parameters
         ----------
@@ -297,14 +298,10 @@ class TKCMImputer:
             return results
         # (row, series) pairs in stream order: by row, then registration.
         offsets, series = (index.tolist() for index in missing.T.nonzero())
-        windows.begin([base + offset for offset in dict.fromkeys(offsets)])
-        try:
-            for offset, j in zip(offsets, series):
-                results.setdefault(offset, {})[windows.names[j]] = self._impute(
-                    j, base + offset, tick + offset + 1
-                )
-        finally:
-            windows.finish()
+        for offset, j in zip(offsets, series):
+            results.setdefault(offset, {})[windows.names[j]] = self._impute(
+                j, base + offset, tick + offset + 1
+            )
         return results
 
     def impute(self, target: str) -> ImputationResult:
@@ -317,12 +314,7 @@ class TKCMImputer:
         windows = self._windows
         if target not in windows.index:
             raise ConfigurationError(f"unknown series {target!r}")
-        col = windows.end - 1
-        windows.begin([col])
-        try:
-            return self._impute(windows.index[target], col, self._tick)
-        finally:
-            windows.finish()
+        return self._impute(windows.index[target], windows.end - 1, self._tick)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -410,14 +402,15 @@ class TKCMImputer:
     # Anchor-selection pruning-bound reuse
     # ------------------------------------------------------------------ #
     # The anchor DP prunes candidates against a *feasible-total* upper bound
-    # (see repro.core.anchor_selection).  During a missing block the anchors
-    # of consecutive ticks rarely change, so the previous tick's selection —
-    # shifted by how far the window slid — is itself a feasible selection
-    # under the current D, and its total is a near-optimal bound obtained in
-    # O(k).  Reusing it replaces the generic chunk bound with a much tighter
-    # one, shrinking the DP to a handful of surviving candidates.  Exactness
-    # is untouched: any feasible total >= the optimal total, which is all the
-    # pruning proof requires.
+    # (see repro.core.anchor_selection).  During a missing block the query
+    # moves one column per tick, and a candidate that matched it well moves
+    # with it: the pattern one column after an anchor shares l - 1 columns
+    # with the old anchor's pattern, just as the new query does with the old
+    # one.  So the previous tick's anchors, each moved one column along the
+    # diagonal, are a feasible selection under the current D whose total is
+    # usually the optimum itself, obtained in O(k).  Exactness is untouched:
+    # any feasible total bounds the optimal one, which is all the pruning
+    # proof requires.
     def _anchor_bound_hint(
         self, target: str, abs_tick: int, dissimilarities: np.ndarray
     ) -> Optional[float]:
@@ -437,14 +430,13 @@ class TKCMImputer:
         prev_tick, prev_window_size, prev_candidates = previous
         if abs_tick != prev_tick + 1:
             return None
-        # A full window slides one position per tick (candidate j becomes
-        # j - 1); a still-growing window keeps old indices in place.
-        shift = 1 if prev_window_size >= cfg.window_length else 0
-        shifted = np.asarray(prev_candidates) - shift
-        if shifted[0] < 0 or shifted[-1] >= len(dissimilarities):
+        # One column later is the same candidate index once the window is
+        # full (it slid too), and the next index while it still grows.
+        shift = 0 if prev_window_size >= cfg.window_length else 1
+        if prev_candidates[-1] + shift >= len(dissimilarities):
             return None
-        total = float(dissimilarities[shifted].sum())
-        return total if np.isfinite(total) else None
+        total = sum(dissimilarities.item(j + shift) for j in prev_candidates)
+        return total if math.isfinite(total) else None
 
     def _remember_selection(
         self, target: str, abs_tick: int, window_size: int, selection: AnchorSelection
@@ -496,6 +488,12 @@ class TKCMImputer:
 #: windows back to the front of the store once every this many ticks.
 _HEADROOM = 32
 
+#: Every chain of cross terms restarts at the absolute columns divisible by
+#: this, so the rounding of chained updates adds up over at most this many
+#: steps (about 1e-15 of the squared norms at the fig17 scale, against the
+#: tie guard's 1e-11).
+_CHAIN_RESTART = 256
+
 
 class _BatchWindows:
     """Persistent window store of one :class:`TKCMImputer`.
@@ -516,11 +514,24 @@ class _BatchWindows:
         D2[p] = sum over references of norms[p] - 2 * cross[p] + ||query||^2
 
     where ``cross[p]`` is the dot product of the query pattern with the
-    subsequence at ``p``: one matrix product per reference set and call,
-    covering every query row of the call.  The exact formula is used
-    instead for non-L2 metrics, for windows that hold a NaN (their
-    decomposed terms are NaN), and where the decomposition's rounding could
-    order candidates differently from it (the two guards below).
+    subsequence at ``p``.  Each reference set keeps the cross terms of its
+    latest query (a *chain*).  A query one column later advances them
+    along the diagonal (the STOMP recurrence of Zhu et al., "Matrix
+    Profile II", ICDM 2016), two vector products per reference::
+
+        cross_new[p] = cross_old[p - 1] - x[c - l] * x[p - 1] + x[c] * x[p + l - 1]
+
+    A chain restarts with one product per reference only where the stream
+    breaks it: the set's previous query was not one column earlier with the
+    same window size, its vector held a NaN or failed a guard, the store
+    was primed, or the query's absolute column is a multiple of
+    ``_CHAIN_RESTART``.  None of these depends on how the stream was cut
+    into calls, on compaction or on a checkpoint (checkpoints carry the
+    live chains), so ``D`` is a function of the stream alone.  The exact
+    formula is used instead for non-L2 metrics, for windows that hold a NaN
+    (their decomposed terms are NaN), and where the decomposition's
+    rounding could order candidates differently from it (the two guards
+    below).
     """
 
     #: A squared dissimilarity below this fraction of the query's squared
@@ -547,7 +558,12 @@ class _BatchWindows:
         self.end = 0
         #: Norms of every subsequence starting before this column are computed.
         self._norm_end = 0
-        self.finish()
+        #: Columns compaction has dropped: store column ``c`` is absolute
+        #: column ``c + _dropped`` of the stream.
+        self._dropped = 0
+        #: Reference rows -> (absolute query column, window size, doubled
+        #: cross terms of that query): the live chains.
+        self._chains: Dict[tuple, tuple] = {}
 
     @classmethod
     def from_buffers(cls, config: TKCMConfig, buffers: Mapping[str, object]) -> "_BatchWindows":
@@ -566,6 +582,7 @@ class _BatchWindows:
     def __getstate__(self) -> dict:
         # Only the live windows are saved; norms are recomputed on demand
         # (bit for bit: each norm depends on its own subsequence alone).
+        # Only the chains the next query can continue travel with them.
         keep = min(self.end, self._window_length)
         shift = self.end - keep
         state = self.__dict__.copy()
@@ -575,16 +592,23 @@ class _BatchWindows:
             _first=[max(first - shift, -self._window_length) for first in self._first],
             end=keep,
             _norm_end=0,
+            _dropped=self._dropped + shift,
+            _chains=self._live_chains(),
         )
         return state
 
     def __setstate__(self, state: dict) -> None:
+        # Stores pickled before the chains kept per-call cross terms; their
+        # chains start fresh.
+        for stale in ("_query_row", "_query_starts", "_candidates", "_cross"):
+            state.pop(stale, None)
+        state.setdefault("_dropped", 0)
+        state.setdefault("_chains", {})
         self.__dict__.update(state)
         live = self.values
         self.values = np.full((len(self.names), self.end + _HEADROOM), np.nan)
         self.values[:, : self.end] = live
         self.norms = np.full_like(self.values, np.nan)
-        self.finish()
 
     def register(self, names: Iterable[str]) -> None:
         """Add the unknown ``names``; their windows start at the next appended column."""
@@ -621,12 +645,15 @@ class _BatchWindows:
         norms[:, :keep] = self.norms[:, shift: self.end]
         self.values, self.norms = values, norms
         self.end = keep
+        self._dropped += shift
         self._norm_end = max(self._norm_end - shift, 0)
         self._first = [max(first - shift, -self._window_length) for first in self._first]
 
     def append(self, block: np.ndarray, names: Sequence[str]) -> int:
         """Append ``block``'s rows (absent series get NaN); returns the first column."""
         rows = block.shape[0]
+        # A chain whose latest query was older can never be advanced again.
+        self._chains = self._live_chains()
         self._reserve(rows)
         base = self.end
         cells = self.values[:, base: base + rows]
@@ -648,6 +675,7 @@ class _BatchWindows:
         width = min(length, self._window_length)
         if width == 0:
             return
+        self._chains = {}
         self._reserve(width)
         end = self.end
         for j, name in enumerate(self.names):
@@ -665,25 +693,6 @@ class _BatchWindows:
     # ------------------------------------------------------------------ #
     # Dissimilarities
     # ------------------------------------------------------------------ #
-    def begin(self, query_cols: List[int]) -> None:
-        """Start a call whose queries end at ``query_cols`` (ascending)."""
-        length = self._pattern_length
-        self._query_row = {col: row for row, col in enumerate(query_cols)}
-        # Query patterns too early to be complete are clamped; they are never
-        # read (the window-size check rejects them first).
-        self._query_starts = [max(col + 1 - length, 0) for col in query_cols]
-        # The candidates any query of the call can use: from the oldest
-        # window start to the newest query's last candidate.
-        self._candidates = (
-            max(query_cols[0] + 1 - self._window_length, 0),
-            query_cols[-1] + 2 - 2 * length,
-        )
-
-    def finish(self) -> None:
-        """End the call: drop its cross terms."""
-        self._query_row, self._query_starts, self._candidates = {}, [], (0, 0)
-        self._cross: Dict[tuple, tuple] = {}
-
     def dissimilarities(
         self, references: Sequence[str], col: int, window_size: int
     ) -> np.ndarray:
@@ -699,25 +708,25 @@ class _BatchWindows:
     def _decomposed(
         self, rows: List[int], col: int, start: int, window_size: int
     ) -> Optional[np.ndarray]:
-        """L2 ``D`` from norms and cross terms, or ``None`` where it is unsafe."""
-        count = window_size - 2 * self._pattern_length + 1
+        """L2 ``D`` from norms and chained cross terms, or ``None`` where it is unsafe."""
+        length = self._pattern_length
+        count = window_size - 2 * length + 1
         self._settle(col)
-        key = tuple(rows)
-        terms = self._cross.get(key)
-        if terms is None:
-            terms = self._cross[key] = self._cross_terms(rows)
-        cross, query_norms = terms
-        query = self._query_row[col]
-        offset = start - self._candidates[0]
-        total = self.norms[rows, start: start + count].sum(axis=0)
-        total -= cross[query, offset: offset + count]
-        query_norm = query_norms[query]
+        cross = self._cross_terms(rows, col, start, count, window_size)
+        query = self.values[rows, col + 1 - length: col + 1]
+        query_norm = float(np.square(query, out=query).sum())
+        norms = self.norms[:, start: start + count]
+        total = norms[rows[0]] - cross
+        for row in rows[1:]:
+            total += norms[row]
         total += query_norm
         ordered = np.sort(total)
         closest = np.minimum.reduce(ordered[1:] - ordered[:-1], initial=np.inf)
         # NaN (a missing cell in some window) fails the comparisons too.
         if not (ordered[0] >= self._CANCELLATION_GUARD * query_norm
                 and closest > self._TIE_GUARD * (ordered[-1] + query_norm)):
+            # Never carried forward: the next query restarts the chain.
+            del self._chains[tuple(rows)]
             return None
         return np.sqrt(total, out=total)
 
@@ -735,25 +744,70 @@ class _BatchWindows:
         np.add.reduce(runs, axis=2, out=self.norms[:, start: stop].T)
         self._norm_end = stop
 
-    def _cross_terms(self, rows: List[int]) -> tuple:
-        """``(cross, query_norms)`` of the reference set ``rows`` for this call.
+    def _live_chains(self) -> Dict[tuple, tuple]:
+        """The chains whose latest query ended at the latest column."""
+        latest = self._dropped + self.end - 1
+        return {key: chain for key, chain in self._chains.items() if chain[0] == latest}
 
-        ``cross[q, p - _candidates[0]]`` is twice the dot product of query
-        ``q``'s pattern with the pattern at candidate ``p`` (both the ``d``
-        reference subsequences, concatenated), for every query of the call
-        and every candidate any of them can use: one matrix product, and
-        each query's candidate range is one contiguous slice.
-        ``query_norms[q]`` is the squared norm of query ``q``'s pattern.
+    def _cross_terms(
+        self, rows: List[int], col: int, start: int, count: int, window_size: int
+    ) -> np.ndarray:
+        """Twice the dot products of the query at ``col`` with candidates ``start..``.
+
+        Both patterns are the ``d`` reference subsequences, concatenated.
+        The reference set's chain is advanced one column along the diagonal
+        when its latest query ended one column earlier with the same window
+        size (a full window's candidates all move with it), reused when it
+        ended at ``col``, and restarted otherwise.
+        """
+        key = tuple(rows)
+        at = col + self._dropped
+        chain = self._chains.get(key)
+        if chain is not None and chain[1] == window_size:
+            if chain[0] == at:
+                return chain[2]
+            if chain[0] == at - 1 and at % _CHAIN_RESTART:
+                cross = chain[2]
+                self._advance(cross, rows, col, start, count)
+                self._chains[key] = (at, window_size, cross)
+                return cross
+        cross = self._fresh_cross_terms(rows, col, start, count)
+        self._chains[key] = (at, window_size, cross)
+        return cross
+
+    def _advance(
+        self, cross: np.ndarray, rows: List[int], col: int, start: int, count: int
+    ) -> None:
+        """Move the previous column's ``cross`` to the query at ``col``, in place."""
+        length = self._pattern_length
+        scratch = np.empty(count)
+        for row in rows:
+            series = self.values[row]
+            np.multiply(series[start - 1: start - 1 + count], 2.0 * series[col - length],
+                        out=scratch)
+            cross -= scratch
+            np.multiply(series[start + length - 1: start + length - 1 + count],
+                        2.0 * series[col], out=scratch)
+            cross += scratch
+
+    def _fresh_cross_terms(
+        self, rows: List[int], col: int, start: int, count: int
+    ) -> np.ndarray:
+        """``_cross_terms`` by one vector-matrix product per reference.
+
+        The candidates of one reference are an ``(l, count)`` view whose
+        rows overlap (a row stride of one element), which is no BLAS
+        operand: numpy sums each entry in order over the pattern, so the
+        result depends on the values alone, never on where they lie in
+        memory.
         """
         length = self._pattern_length
-        low, high = self._candidates
-        cells = self.values[rows]
-        candidates = _runs(cells, low, high - low, length).reshape(high - low, -1)
-        queries = _runs(cells, 0, cells.shape[1] - length + 1, length)[self._query_starts]
-        queries = queries.reshape(len(queries), -1)
-        cross = queries @ candidates.T
-        cross *= 2.0
-        return cross, (queries * queries).sum(axis=1)
+        step = self.values.itemsize
+        return sum(
+            (2.0 * series[col + 1 - length: col + 1])
+            @ as_strided(series[start:], (length, count), (step, step), writeable=False)
+            for series in self.values[rows]
+        )
 
     def _exact(self, windows: np.ndarray) -> np.ndarray:
         """Dissimilarity vector D by the exact formula, NaN candidates excluded.

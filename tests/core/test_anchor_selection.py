@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.anchor_selection as anchor_selection
 from repro.core.anchor_selection import (
     select_anchors,
     select_anchors_dp,
@@ -313,3 +317,68 @@ class TestBoundHint:
         # Greedy ignores the hint rather than crashing on it.
         greedy = select_anchors(d, 3, 12, strategy="greedy", bound_hint=hint)
         assert len(greedy.candidate_indices) == 3
+
+
+@st.composite
+def planted_optima(draw):
+    """``D`` whose optimum is its ``k`` smallest entries, pairwise ``l`` apart.
+
+    Then the optimum's largest member ``j`` has ``D[j] = B - S`` exactly in
+    real arithmetic (``B`` the optimum's total, ``S`` the ``k - 1`` smallest
+    entries): the equality case of the ``k - 1`` filter.  Entries are
+    random mantissas, a few ulps apart, or coarse ties; some of the others
+    are infinite.
+    """
+    k = draw(st.integers(1, 5))
+    l = draw(st.integers(1, 6))
+    n = draw(st.integers((k - 1) * l + 1, (k - 1) * l + 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["mantissas", "ulps", "ties"]))
+    if kind == "mantissas":
+        d = rng.uniform(1.0, 2.0, n) * 2.0 ** draw(st.integers(-20, 20))
+    elif kind == "ulps":
+        base = rng.uniform(1.0, 1.5)
+        d = base + rng.integers(0, 8, n) * np.spacing(base)
+    else:
+        d = rng.integers(0, 4, n) / 4.0
+    cuts = np.sort(rng.integers(0, n - (k - 1) * l, k))
+    planted = cuts + l * np.arange(k)
+    others = np.setdiff1d(np.arange(n), planted)
+    ordered = np.sort(d)
+    d[rng.permutation(planted)] = ordered[:k]
+    d[rng.permutation(others)] = ordered[k:]
+    if draw(st.booleans()):
+        d[others[rng.random(len(others)) < 0.3]] = np.inf
+    return d, k, l, planted
+
+
+def _select(d, k, l, threshold, bound_hint=None):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(anchor_selection, "_PRUNE_THRESHOLD", threshold)
+        return select_anchors_dp(d, k, l, bound_hint=bound_hint)
+
+
+class TestPrunedDpExactness:
+    """The ``k - 1`` filter keeps the dense DP's selection, bit for bit, even
+    when the bound is the optimum itself added up in another order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(planted_optima())
+    def test_pruned_matches_dense_whatever_the_bound(self, case):
+        d, k, l, planted = case
+        dense = _select(d, k, l, threshold=10**9)
+        members = d[planted].tolist()
+        bounds = [
+            None,  # the chunk bound
+            sum(members),
+            sum(reversed(members)),
+            sum(sorted(members)),
+            sum(sorted(members, reverse=True)),
+            math.fsum(members),
+            float(np.sum(d[planted])),
+            dense.total_dissimilarity,
+        ]
+        for bound in bounds:
+            pruned = _select(d, k, l, threshold=1, bound_hint=bound)
+            assert pruned.candidate_indices == dense.candidate_indices, bound
+            assert pruned.dissimilarities == dense.dissimilarities, bound
